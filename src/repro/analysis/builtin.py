@@ -375,7 +375,6 @@ class FastpathApiRule(Rule):
     _INTERNAL_MODULES = (
         "repro.fastpath.compiled",
         "repro.fastpath.replay",
-        "repro.fastpath.kernels",
     )
 
     def visit_Import(self, ctx: FileContext, node: ast.Import) -> None:
@@ -410,13 +409,6 @@ class FastpathApiRule(Rule):
                 node,
                 "direct CompiledTraceLog construction outside "
                 "repro.fastpath; use compile_log/ensure_compiled",
-            )
-        elif name == "KernelPlan":
-            ctx.report(
-                self,
-                node,
-                "direct KernelPlan construction outside repro.fastpath; "
-                "use prepare_plan",
             )
 
 

@@ -13,15 +13,19 @@ limit:
    reports exactly how long until the next token as ``retry_after``.
 3. **Weighted fair shares.**  Each tenant owns a weighted share of the
    in-flight budget (weight / sum of active tenants' weights, times the
-   watermark).  The gate only bites under contention — while total
-   in-flight admissions are below the contention threshold any tenant
-   may borrow idle capacity — so a greedy tenant is shed back to its
-   share while light tenants sail through: weighted max-min fairness
-   over the shards' pending queues.
+   watermark).  The gate only bites under contention — another tenant
+   has work in flight *and* total in-flight admissions have reached the
+   contention threshold.  A lone tenant may always borrow the whole
+   cluster (only the queue watermark bounds it), while among several a
+   greedy tenant is shed back to its share and light tenants sail
+   through: weighted max-min fairness over the shards' pending queues.
 
-The controller is thread-safe (HTTP submissions and shard collector
-completions race) and purely mechanical — no background threads; state
-advances only inside :meth:`AdmissionController.admit` and
+The decision itself is :func:`admission_gate`, a pure function of the
+tenant table, the queue depth and the clock.  The controller wraps it
+with a lock and the bookkeeping: it is thread-safe (HTTP submissions
+and shard collector completions race) and purely mechanical — no
+background threads; state advances only inside
+:meth:`AdmissionController.admit` and
 :meth:`AdmissionController.release` calls.
 """
 
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from typing import Mapping, NamedTuple
 
 from repro.errors import ConfigError
 
@@ -68,16 +73,26 @@ class TokenBucket:
         self._tokens = float(burst)
         self._refilled_at: float | None = None
 
+    def _level(self, now: float) -> float:
+        """Tokens available at time *now* (no state change)."""
+        if self._refilled_at is not None and now > self._refilled_at:
+            return min(
+                self.burst, self._tokens + (now - self._refilled_at) * self.rate
+            )
+        return self._tokens
+
+    def wait(self, now: float, cost: float = 1.0) -> float:
+        """Seconds until *cost* tokens are available at time *now*
+        (0.0 when they already are); leaves the bucket untouched."""
+        return max(0.0, (cost - self._level(now)) / self.rate)
+
     def consume(self, now: float, cost: float = 1.0) -> tuple[bool, float]:
         """Try to take *cost* tokens at time *now*.
 
         Returns ``(True, 0.0)`` on success, else ``(False, wait)``
         where *wait* is the time until the deficit refills.
         """
-        if self._refilled_at is not None and now > self._refilled_at:
-            self._tokens = min(
-                self.burst, self._tokens + (now - self._refilled_at) * self.rate
-            )
+        self._tokens = self._level(now)
         self._refilled_at = now
         if self._tokens >= cost:
             self._tokens -= cost
@@ -95,6 +110,53 @@ class _Tenant:
         self.inflight = 0
         self.accepted = 0
         self.shed = 0
+
+
+class TenantLoad(NamedTuple):
+    """What the gate reads of one tenant (the controller's per-tenant
+    records carry the same two fields)."""
+
+    weight: float
+    inflight: int
+
+
+def admission_gate(
+    tenants: Mapping[str, TenantLoad],
+    tenant: str,
+    queue_depth: int,
+    now: float,
+    watermark: int,
+    bucket: TokenBucket | None = None,
+) -> tuple[str, float | None] | None:
+    """The three gates, in order, for one submission by *tenant*.
+
+    A pure function: *tenants* maps every known tenant (*tenant*
+    included) to its weight and in-flight count, and *bucket* is only
+    read.  Returns None to admit, else ``(reason, retry_after)`` where
+    a None *retry_after* means the caller's default.
+    """
+    if queue_depth >= watermark:
+        return SHED_QUEUE, None
+    if bucket is not None:
+        wait = bucket.wait(now)
+        if wait > 0:
+            return SHED_RATE, wait
+    others = [
+        record
+        for name, record in tenants.items()
+        if name != tenant and record.inflight > 0
+    ]
+    if not others:
+        return None  # no one to be fair to: a lone tenant borrows all
+    record = tenants[tenant]
+    total_inflight = record.inflight + sum(other.inflight for other in others)
+    if total_inflight < math.ceil(watermark * CONTENTION_FRACTION):
+        return None  # idle capacity: anyone may borrow
+    active_weight = record.weight + sum(other.weight for other in others)
+    share = math.ceil(watermark * record.weight / active_weight)
+    if record.inflight + 1 > max(1, share):
+        return SHED_FAIR_SHARE, None
+    return None
 
 
 class AdmissionDecision:
@@ -190,43 +252,23 @@ class AdmissionController:
             now = time.monotonic()
         with self._lock:
             record = self._tenant(tenant)
-            if queue_depth >= self.watermark:
-                return self._shed_decision(record, SHED_QUEUE, self.retry_after)
+            shed = admission_gate(
+                self._tenants, tenant, queue_depth, now,
+                self.watermark, self._bucket,
+            )
+            if shed is not None:
+                reason, retry_after = shed
+                if retry_after is None:
+                    retry_after = self.retry_after
+                record.shed += 1
+                self._shed[reason] += 1
+                return AdmissionDecision(False, reason, max(retry_after, 0.001))
             if self._bucket is not None:
-                ok, wait = self._bucket.consume(now)
-                if not ok:
-                    return self._shed_decision(record, SHED_RATE, wait)
-            decision = self._check_fair_share(record)
-            if decision is not None:
-                return decision
+                self._bucket.consume(now)
             record.inflight += 1
             record.accepted += 1
             self._accepted += 1
             return AdmissionDecision(True)
-
-    def _check_fair_share(self, record: _Tenant) -> AdmissionDecision | None:
-        total_inflight = sum(t.inflight for t in self._tenants.values())
-        contention = math.ceil(self.watermark * CONTENTION_FRACTION)
-        if total_inflight < contention:
-            return None  # idle capacity: anyone may borrow
-        active_weight = record.weight + sum(
-            t.weight
-            for t in self._tenants.values()
-            if t.inflight > 0 and t is not record
-        )
-        share = math.ceil(self.watermark * record.weight / active_weight)
-        if record.inflight + 1 > max(1, share):
-            return self._shed_decision(
-                record, SHED_FAIR_SHARE, self.retry_after
-            )
-        return None
-
-    def _shed_decision(
-        self, record: _Tenant, reason: str, retry_after: float
-    ) -> AdmissionDecision:
-        record.shed += 1
-        self._shed[reason] += 1
-        return AdmissionDecision(False, reason, max(retry_after, 0.001))
 
     def release(self, tenant: str = "default") -> None:
         """Mark one previously admitted submission finished."""

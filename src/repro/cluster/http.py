@@ -183,11 +183,17 @@ class ClusterServer:
         self._server = None
 
     async def _close(self) -> None:
+        # Stop accepting, then end every open connection — idle
+        # keep-alive reads and live event streams alike — and wait for
+        # the handlers to finish before the loop is torn down.
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._conn_tasks):
+        tasks = list(self._conn_tasks)
+        for task in tasks:
             task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
 
     # ------------------------------------------------------------------
     # Connection handling (loop thread)
@@ -210,7 +216,10 @@ class ClusterServer:
         except (ConnectionError, asyncio.LimitOverrunError):
             return  # client went away or flooded headers; drop it
         except asyncio.CancelledError:
-            raise
+            # Only _close cancels a connection.  Ending normally keeps
+            # the stream protocol's done-callback from logging the
+            # cancellation as an unhandled error on every shutdown.
+            return
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)

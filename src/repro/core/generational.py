@@ -30,7 +30,6 @@ from repro.core.manager import (
     Evicted,
     EvictionReason,
     Inserted,
-    KernelSpec,
     Promoted,
 )
 from repro.errors import ConfigError
@@ -140,42 +139,6 @@ class GenerationalCacheManager(CacheManager):
         if self.probation.plain_touch and not self._promote_on_hit:
             plain.add(PROBATION)
         return frozenset(plain)
-
-    def replay_kernel_spec(self) -> KernelSpec | None:
-        # The kernel folds the promotion mode and threshold to
-        # literals: under on-eviction promotion every hit is a plain
-        # touch; under on-hit promotion probation hits carry a
-        # threshold-headroom guard.  Stateful local policies fall back
-        # to the batched loop.
-        #
-        # Counter liveness: the probation counter is read by both
-        # promotion modes (the on-hit threshold check and the
-        # on-eviction graduation check), so probation is always live.
-        # Nothing reads the nursery or persistent counters — their
-        # per-hit updates are dead stores the kernel eliminates —
-        # unless the local policy itself consults them (LFU), in which
-        # case the multi-cache kernel (built for a single live slot)
-        # declines and the batched loop runs.
-        if not all(cache.plain_touch for cache in self.caches()):
-            return None
-        if (
-            self.nursery.reads_trace_counters
-            or self.persistent.reads_trace_counters
-        ):
-            return None
-        if self._promote_on_hit:
-            return KernelSpec(
-                kind="multi",
-                cache_names=(NURSERY, PROBATION, PERSISTENT),
-                guarded_cache=PROBATION,
-                promotion_threshold=self._threshold,
-                live_counter_caches=(PROBATION,),
-            )
-        return KernelSpec(
-            kind="multi",
-            cache_names=(NURSERY, PROBATION, PERSISTENT),
-            live_counter_caches=(PROBATION,),
-        )
 
     def _probation_hit(self, trace_id: int, time: int, count: int):
         """Probation hit handler under on-hit promotion: touch, then

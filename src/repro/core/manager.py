@@ -11,7 +11,6 @@ which is what the overhead model prices.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 from repro.core.effects import (
     AccessOutcome,
@@ -31,49 +30,8 @@ __all__ = [
     "Evicted",
     "EvictionReason",
     "Inserted",
-    "KernelSpec",
     "Promoted",
 ]
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Shape description a manager hands the kernel specializer.
-
-    The specialized replay kernels (:mod:`repro.fastpath.kernels`)
-    partially evaluate a *(policy, config)* pair into a replay loop
-    with the policy's branches folded to literals.  A manager that can
-    be driven that way describes its shape here; returning None from
-    :meth:`CacheManager.replay_kernel_spec` keeps the manager on the
-    general batched loop.
-
-    Attributes:
-        kind: ``"single"`` (one cache, residency is the cache's own
-            trace table) or ``"multi"`` (several caches, residency
-            tracked from the effect stream).
-        cache_names: The managed cache names, most-junior first.
-        guarded_cache: Name of the cache whose hits may emit effects
-            (the probation cache under on-hit promotion) — accesses
-            resident there are speculation-guarded, everything else is
-            a plain bulk touch.  None when every hit is plain.
-        promotion_threshold: The promotion threshold folded into the
-            guarded cache's headroom guard (None when unguarded).
-        live_counter_caches: Caches whose per-trace ``access_count`` /
-            ``last_access`` fields are ever *read* — by the manager
-            itself (the probation promotion counter) or by the local
-            policy (:attr:`~repro.policies.base.CodeCache.reads_trace_counters`).
-            The kernels maintain counters only for these caches;
-            everywhere else the per-hit counter writes are provably
-            dead stores and are eliminated outright.  Declaring a
-            cache here is the manager's proof obligation: omit one
-            that is actually read and the specialized replay diverges.
-    """
-
-    kind: str
-    cache_names: tuple[str, ...]
-    guarded_cache: str | None = None
-    promotion_threshold: int | None = None
-    live_counter_caches: tuple[str, ...] = ()
 
 
 class CacheManager(abc.ABC):
@@ -147,34 +105,6 @@ class CacheManager(abc.ABC):
         here if a hit served by it is exactly a plain touch.
         """
         return frozenset()
-
-    def replay_kernel_spec(self) -> KernelSpec | None:
-        """Describe this manager's shape to the kernel specializer.
-
-        Returning a :class:`KernelSpec` lets the fast path replace the
-        batched loop with a policy-specialized kernel: hit streaks are
-        retired as guarded bulk touches and per-record dispatch
-        disappears between capacity events.  The default keeps the
-        manager on the general loop.
-        """
-        return None
-
-    def touch_streak(self, traces, items) -> None:
-        """Bulk-touch hook: retire a guard-validated hit streak.
-
-        *traces* are resident :class:`~repro.policies.base.CachedTrace`
-        records, *items* the parallel ``(trace_id, total_count,
-        last_time)`` tuples the kernel precomputed for the streak.
-        Only called for caches declared in
-        :attr:`KernelSpec.live_counter_caches` whose hits are plain
-        touches, after the kernel's guards proved no entry can fault,
-        promote, or emit effects — so the default is exactly a run of
-        plain touches.  (Caches *not* declared live skip even this:
-        their counter writes are dead stores the kernel eliminates.)
-        """
-        for trace, item in zip(traces, items):
-            trace.access_count += item[1]
-            trace.last_access = item[2]
 
     @abc.abstractmethod
     def insert(

@@ -16,7 +16,6 @@ from repro.core.manager import (
     Evicted,
     EvictionReason,
     Inserted,
-    KernelSpec,
 )
 from repro.errors import ConfigError
 from repro.policies import POLICIES
@@ -74,24 +73,6 @@ class UnifiedCacheManager(CacheManager):
         if self._cache.plain_touch:
             return frozenset((self._cache.name,))
         return frozenset()
-
-    def replay_kernel_spec(self) -> KernelSpec | None:
-        # A single plain-touch cache is the simplest kernel shape: the
-        # cache's own trace table doubles as the residency map and no
-        # hit can ever emit effects.  Stateful local policies (lru,
-        # oracle) fall back to the batched loop.  Nothing in a unified
-        # manager reads the trace counters unless the policy itself
-        # does (LFU's victim scan) — for every other policy the per-hit
-        # counter writes are dead stores the kernel eliminates.
-        cache = self._cache
-        if not cache.plain_touch:
-            return None
-        live = (cache.name,) if cache.reads_trace_counters else ()
-        return KernelSpec(
-            kind="single",
-            cache_names=(cache.name,),
-            live_counter_caches=live,
-        )
 
     def insert(
         self, trace_id: int, size: int, module_id: int, time: int

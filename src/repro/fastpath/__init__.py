@@ -1,6 +1,6 @@
 """Compiled replay fast path.
 
-Four pieces, built for the ROADMAP goal of replaying the same verbose
+Three pieces, built for the ROADMAP goal of replaying the same verbose
 trace log against many cache configurations at production scale:
 
 * :mod:`repro.fastpath.compiled` — the packed struct-of-arrays trace
@@ -10,21 +10,14 @@ trace log against many cache configurations at production scale:
   :func:`replay_compiled`, selected automatically by
   :class:`repro.cachesim.simulator.CacheSimulator` when the manager is
   ``fastpath_safe`` and no sanitizer is attached;
-* :mod:`repro.fastpath.kernels` — policy-specialized replay kernels
-  (:func:`replay_specialized`): partial evaluation of the (policy,
-  config) pair, hit-streak run-length batching with guard/commit/abort
-  speculation, and an optional vectorized columnar guard.  Selected
-  ahead of the batched loop when the manager publishes a
-  :class:`~repro.core.manager.KernelSpec`;
 * :mod:`repro.fastpath.artifacts` — the content-addressed on-disk
-  cache of synthesized workloads and specialization plans (imported on
-  demand: ``from repro.fastpath import artifacts``).
+  cache of synthesized workloads (imported on demand:
+  ``from repro.fastpath import artifacts``).
 
-This package root is the public surface.  The packed-column and kernel
-internals (``repro.fastpath.compiled`` / ``repro.fastpath.replay`` /
-``repro.fastpath.kernels`` module imports, direct
-``CompiledTraceLog(...)`` / ``KernelPlan(...)`` construction) are
-reserved for this package and the RTL2 codec — enforced by the
+This package root is the public surface.  The packed-column internals
+(``repro.fastpath.compiled`` / ``repro.fastpath.replay`` module
+imports, direct ``CompiledTraceLog(...)`` construction) are reserved
+for this package and the RTL2 codec — enforced by the
 ``fastpath-api`` cachelint rule.
 """
 
@@ -40,24 +33,13 @@ from repro.fastpath.compiled import (
     ensure_compiled,
     log_columns,
 )
-from repro.fastpath.kernels import (
-    prepare_plan,
-    replay_specialized,
-    set_abort_fuzz,
-    set_vectorized,
-    vectorized_enabled,
-)
 from repro.fastpath.replay import (
     FASTPATH_TOTALS,
-    batched_path,
     disable_fastpath,
     enable_fastpath,
     fastpath_enabled,
-    fastpath_mode,
-    kernels_enabled,
     object_path,
     replay_compiled,
-    set_fastpath_mode,
 )
 
 __all__ = [
@@ -70,20 +52,11 @@ __all__ = [
     "OP_UNMAP",
     "OP_UNPIN",
     "log_columns",
-    "batched_path",
     "compile_log",
     "disable_fastpath",
     "enable_fastpath",
     "ensure_compiled",
     "fastpath_enabled",
-    "fastpath_mode",
-    "kernels_enabled",
     "object_path",
-    "prepare_plan",
     "replay_compiled",
-    "replay_specialized",
-    "set_abort_fuzz",
-    "set_fastpath_mode",
-    "set_vectorized",
-    "vectorized_enabled",
 ]

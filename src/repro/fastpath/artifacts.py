@@ -50,8 +50,6 @@ CONTAINER_VERSION = 1
 
 CONTAINER_MAGIC = b"RAC1"
 
-PLAN_MAGIC = b"RKP1"
-
 #: Environment variable overriding (or disabling) the store location.
 ENV_DIR = "REPRO_ARTIFACT_DIR"
 
@@ -92,46 +90,6 @@ def _fingerprint_sources() -> str:
             digest.update(Path(module.__file__).read_bytes())
         _source_fingerprint = digest.hexdigest()
     return _source_fingerprint
-
-
-_plan_source_fingerprint: str | None = None
-
-
-def _fingerprint_plan_sources() -> str:
-    """Digest of the modules a stored kernel plan depends on: the
-    specializer itself and the packed representation.  Editing either
-    invalidates every stale plan by construction."""
-    global _plan_source_fingerprint
-    if _plan_source_fingerprint is None:
-        from repro.fastpath import compiled, kernels
-
-        digest = hashlib.sha256()
-        for module in (kernels, compiled):
-            digest.update(Path(module.__file__).read_bytes())
-        _plan_source_fingerprint = digest.hexdigest()
-    return _plan_source_fingerprint
-
-
-def plan_key(compiled: CompiledTraceLog) -> str:
-    """Content digest identifying one kernel specialization plan.
-
-    Covers the log's column fingerprint (so any two byte-identical
-    logs share one plan, whatever produced them), the plan version,
-    and the specializer sources.  The policy/config half of a
-    specialization is bound at replay time — plans are deliberately
-    policy-invariant, so one stored plan serves every manager
-    replaying the same log.
-    """
-    from repro.fastpath.kernels import PLAN_VERSION
-
-    description = {
-        "kind": "kernel-plan",
-        "version": PLAN_VERSION,
-        "log": compiled.content_fingerprint(),
-        "sources": _fingerprint_plan_sources(),
-    }
-    blob = json.dumps(description, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def artifact_key(kind: str, profile, seed: int, scale: float) -> str:
@@ -218,173 +176,6 @@ def load_compiled_container(blob: bytes) -> CompiledTraceLog | None:
     return compiled
 
 
-def dump_plan_container(plan) -> bytes:
-    """Serialize a :class:`~repro.fastpath.kernels.KernelPlan` as
-    packed arrays: per-step kind/start/end/item-count/hit-total, plus
-    the concatenated collapsed item columns.  Scalar ranges carry no
-    payload — their rows are re-unpacked from the compiled log's own
-    columns on load."""
-    from array import array
-
-    from repro.fastpath.kernels import KIND_STREAK
-
-    kinds = array("B")
-    starts = array("q")
-    ends = array("q")
-    item_counts = array("q")
-    hit_totals = array("q")
-    item_tid = array("q")
-    item_total = array("q")
-    item_last = array("q")
-    for step in plan.steps:
-        kinds.append(step[0])
-        starts.append(step[1])
-        ends.append(step[2])
-        if step[0] == KIND_STREAK:
-            items = step[3]
-            item_counts.append(len(items))
-            hit_totals.append(step[6])
-            for tid, total, last in items:
-                item_tid.append(tid)
-                item_total.append(total)
-                item_last.append(last)
-        else:
-            item_counts.append(0)
-            hit_totals.append(0)
-    columns = (
-        kinds, starts, ends, item_counts, hit_totals,
-        item_tid, item_total, item_last,
-    )
-    payload = b"".join(column.tobytes() for column in columns)
-    header = json.dumps(
-        {
-            "n_records": plan.n_records,
-            "n_steps": len(kinds),
-            "n_items": len(item_tid),
-            "byteorder": sys.byteorder,
-            "itemsize": starts.itemsize,
-            "sha256": hashlib.sha256(payload).hexdigest(),
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    return PLAN_MAGIC + len(header).to_bytes(4, "little") + header + payload
-
-
-def load_plan_container(blob: bytes, compiled: CompiledTraceLog):
-    """Deserialize a plan container built for *compiled*, or None if
-    corrupt or foreign.  Scalar-range rows are re-unpacked from the
-    compiled log's columns — the store never duplicates them."""
-    from array import array
-
-    from repro.fastpath.kernels import (
-        KIND_SCALAR,
-        KernelPlan,
-        _chunk_windows,
-        streak_step,
-    )
-
-    if len(blob) < 8 or blob[:4] != PLAN_MAGIC:
-        return None
-    header_len = int.from_bytes(blob[4:8], "little")
-    try:
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
-    kinds = array("B")
-    starts = array("q")
-    if (
-        header.get("byteorder") != sys.byteorder
-        or header.get("itemsize") != starts.itemsize
-    ):
-        return None
-    n_steps = header["n_steps"]
-    n_items = header["n_items"]
-    payload = memoryview(blob)[8 + header_len :]
-    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
-        return None
-    widths = [n_steps] + [n_steps * starts.itemsize] * 4 + [
-        n_items * starts.itemsize
-    ] * 3
-    if len(payload) != sum(widths):
-        return None
-    ends = array("q")
-    item_counts = array("q")
-    hit_totals = array("q")
-    item_tid = array("q")
-    item_total = array("q")
-    item_last = array("q")
-    columns = (
-        kinds, starts, ends, item_counts, hit_totals,
-        item_tid, item_total, item_last,
-    )
-    offset = 0
-    for column, width in zip(columns, widths):
-        column.frombytes(payload[offset : offset + width])
-        offset += width
-    tid_list = item_tid.tolist()
-    total_list = item_total.tolist()
-    last_list = item_last.tolist()
-    starts_list = starts.tolist()
-    ends_list = ends.tolist()
-    counts_list = item_counts.tolist()
-    hits_list = hit_totals.tolist()
-    op_col = compiled.op
-    time_col = compiled.time
-    tid_col = compiled.trace_id
-    size_col = compiled.size
-    module_col = compiled.module
-    # Chunk retry ladders are derived data (a pure function of the
-    # columns and CHUNK_RECORDS), so the store never persists them —
-    # they are rebuilt here from the same helper the builder uses.
-    all_times = time_col.tolist()
-    all_tids = tid_col.tolist()
-    all_reps = compiled.repeat.tolist()
-    steps: list = []
-    position = 0
-    for index in range(n_steps):
-        if kinds[index] == KIND_SCALAR:
-            start = starts_list[index]
-            end = ends_list[index]
-            if end > len(op_col):
-                return None
-            rows = list(
-                zip(
-                    op_col[start:end].tolist(),
-                    time_col[start:end].tolist(),
-                    tid_col[start:end].tolist(),
-                    size_col[start:end].tolist(),
-                    module_col[start:end].tolist(),
-                )
-            )
-            steps.append((KIND_SCALAR, start, end, rows))
-            continue
-        count = counts_list[index]
-        items = list(
-            zip(
-                tid_list[position : position + count],
-                total_list[position : position + count],
-                last_list[position : position + count],
-            )
-        )
-        position += count
-        start = starts_list[index]
-        end = ends_list[index]
-        if end > len(op_col):
-            return None
-        steps.append(
-            streak_step(
-                start,
-                end,
-                items,
-                hits_list[index],
-                _chunk_windows(all_tids, all_times, all_reps, start, end),
-            )
-        )
-    if position != n_items:
-        return None
-    return KernelPlan(n_records=header["n_records"], steps=steps)
-
-
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
@@ -459,32 +250,6 @@ class ArtifactCache:
         compiled = compile_log(log)
         self._write(path, dump_compiled_container(compiled))
         return compiled, log
-
-    # -- kernel specialization plans -----------------------------------
-
-    def kernel_plan(
-        self,
-        compiled: CompiledTraceLog,
-        build: Callable[[], object],
-    ):
-        """The specialization plan for *compiled*.
-
-        Keyed on the log's content fingerprint (see :func:`plan_key`),
-        so warm service/scenario/sweep runs skip the run-collapsing
-        pass entirely.  On a miss, *build* runs and the result is
-        stored.
-        """
-        path = self._path(plan_key(compiled), ".rkp")
-        blob = self._read(path)
-        if blob is not None:
-            plan = load_plan_container(blob, compiled)
-            if plan is not None:
-                ARTIFACT_TOTALS["hits"] += 1
-                return plan
-        ARTIFACT_TOTALS["misses"] += 1
-        plan = build()
-        self._write(path, dump_plan_container(plan))
-        return plan
 
     # -- log statistics ------------------------------------------------
 

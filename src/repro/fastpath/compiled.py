@@ -38,7 +38,6 @@ row iterators.  The ``fastpath-api`` cachelint rule enforces this.
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 from typing import Iterator
 
@@ -89,12 +88,6 @@ class CompiledTraceLog:
         "size",
         "module",
         "repeat",
-        # Kernel-specializer memo slots (repro.fastpath.kernels): the
-        # content fingerprint and replay plan are pure functions of the
-        # columns, cached as (n_records, value) pairs so a log that
-        # grew after caching is recomputed rather than served stale.
-        "_fingerprint",
-        "_plan",
     )
 
     def __init__(
@@ -112,8 +105,6 @@ class CompiledTraceLog:
         self.size = array("q")
         self.module = array("q")
         self.repeat = array("q")
-        self._fingerprint: tuple[int, str] | None = None
-        self._plan = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -172,28 +163,6 @@ class CompiledTraceLog:
     def n_accesses(self) -> int:
         """Total trace entries including compressed repeats."""
         return sum(self.repeat)
-
-    def content_fingerprint(self) -> str:
-        """Hex sha256 over the packed columns (cached per length).
-
-        This is the log half of the kernel specializer's artifact key:
-        two logs with identical columns replay identically, whatever
-        path produced them, so their specialization plans are
-        interchangeable.
-        """
-        cached = self._fingerprint
-        n = len(self.op)
-        if cached is not None and cached[0] == n:
-            return cached[1]
-        digest = hashlib.sha256()
-        for column in (
-            self.op, self.time, self.trace_id,
-            self.size, self.module, self.repeat,
-        ):
-            digest.update(column.tobytes())
-        value = digest.hexdigest()
-        self._fingerprint = (n, value)
-        return value
 
     # ------------------------------------------------------------------
     # Row/record iteration

@@ -68,16 +68,6 @@ class CodeCache(abc.ABC):
     #: Short policy name used in configs and reports.
     policy_name: str = "abstract"
 
-    #: Whether the policy ever *reads* a resident trace's
-    #: ``access_count`` / ``last_access`` fields (e.g. LFU's coldest-
-    #: first victim scan).  The replay kernels treat counter updates on
-    #: caches where nothing reads them as dead stores and elide them
-    #: entirely; a policy that consults the counters must set this True
-    #: so its cache is declared *live* in the manager's
-    #: :class:`~repro.core.manager.KernelSpec` (or excluded from
-    #: specialization altogether).
-    reads_trace_counters: bool = False
-
     def __init__(self, capacity: int, name: str = "cache") -> None:
         self.name = name
         self.arena = Arena(capacity)
@@ -149,18 +139,6 @@ class CodeCache(abc.ABC):
     def traces(self) -> list[CachedTrace]:
         """All resident traces in arena address order."""
         return [self._traces[tid] for tid in self.arena.trace_ids()]
-
-    def resident_map(self) -> dict[int, CachedTrace]:
-        """The live trace table, keyed by trace id.
-
-        This is the replay kernels' residency source: for a
-        single-cache manager the table itself *is* the residency map,
-        so the kernel probes it directly instead of maintaining a
-        shadow copy from the effect stream.  Callers must treat the
-        dict as read-only — residency changes go through
-        :meth:`insert` / :meth:`remove` / :meth:`flush`.
-        """
-        return self._traces
 
     def fragmentation(self) -> float:
         """Current external fragmentation of the arena."""

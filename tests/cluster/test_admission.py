@@ -10,7 +10,9 @@ import pytest
 
 from repro.cluster.admission import (
     AdmissionController,
+    TenantLoad,
     TokenBucket,
+    admission_gate,
 )
 from repro.errors import ConfigError
 
@@ -131,6 +133,80 @@ class TestFairShare:
         # light's share is ceil(8 * 1/4) = 2: one more fits.
         assert control.admit("light", queue_depth=0).accepted
         assert not control.admit("light", queue_depth=0).accepted
+
+
+class TestGate:
+    """The pure decision function: no controller, no server, no clock."""
+
+    def test_lone_tenant_is_never_shed_for_fair_share(self):
+        # The lone tenant's first job is running (queue depth 0) and
+        # it holds the whole in-flight budget: only the queue gate may
+        # stop it, and the queue is empty.
+        tenants = {"t": TenantLoad(weight=1.0, inflight=1)}
+        assert admission_gate(tenants, "t", 0, 0.0, watermark=1) is None
+        tenants = {"t": TenantLoad(weight=1.0, inflight=500)}
+        assert admission_gate(tenants, "t", 3, 0.0, watermark=4) is None
+
+    def test_lone_tenant_is_bounded_by_the_queue(self):
+        tenants = {"t": TenantLoad(weight=1.0, inflight=2)}
+        assert admission_gate(tenants, "t", 1, 0.0, watermark=1) == (
+            "queue",
+            None,
+        )
+
+    def test_idle_other_tenants_do_not_count(self):
+        tenants = {
+            "t": TenantLoad(weight=1.0, inflight=8),
+            "idle": TenantLoad(weight=1.0, inflight=0),
+        }
+        assert admission_gate(tenants, "t", 0, 0.0, watermark=8) is None
+
+    def test_fair_share_needs_another_tenant_in_flight(self):
+        tenants = {
+            "t": TenantLoad(weight=1.0, inflight=4),
+            "u": TenantLoad(weight=1.0, inflight=1),
+        }
+        # share = ceil(8 * 1/2) = 4, and t already holds 4.
+        assert admission_gate(tenants, "t", 0, 0.0, watermark=8) == (
+            "fair-share",
+            None,
+        )
+        assert admission_gate(tenants, "u", 0, 0.0, watermark=8) is None
+
+    def test_fair_share_waits_for_contention(self):
+        tenants = {
+            "t": TenantLoad(weight=1.0, inflight=2),
+            "u": TenantLoad(weight=1.0, inflight=1),
+        }
+        # 3 in flight < contention threshold ceil(8 * 0.5) = 4.
+        assert admission_gate(tenants, "t", 0, 0.0, watermark=8) is None
+
+    def test_queue_gate_runs_first(self):
+        tenants = {
+            "t": TenantLoad(weight=1.0, inflight=9),
+            "u": TenantLoad(weight=1.0, inflight=9),
+        }
+        bucket = TokenBucket(rate=1.0, burst=1)
+        bucket.consume(0.0)
+        assert admission_gate(tenants, "t", 8, 0.0, 8, bucket) == ("queue", None)
+        assert admission_gate(tenants, "t", 0, 0.0, 8, bucket) == ("rate", 1.0)
+
+    def test_gate_leaves_the_bucket_untouched(self):
+        tenants = {"t": TenantLoad(weight=1.0, inflight=0)}
+        bucket = TokenBucket(rate=10.0, burst=1)
+        for _ in range(3):
+            assert admission_gate(tenants, "t", 0, 0.0, 8, bucket) is None
+        assert bucket.consume(0.0) == (True, 0.0)
+
+    def test_controller_lone_tenant_fills_to_the_watermark(self):
+        # The queue-depth case the cluster front end sees with one busy
+        # worker: every admitted job leaves the queue empty.
+        control = AdmissionController(watermark=1)
+        for _ in range(5):
+            assert control.admit("t", queue_depth=0).accepted
+        decision = control.admit("t", queue_depth=1)
+        assert (decision.accepted, decision.reason) == (False, "queue")
+        assert control.counters()["shed_by_reason"]["fair-share"] == 0
 
 
 class TestAccounting:

@@ -7,6 +7,7 @@ drives it through the hardened ServiceClient.
 from __future__ import annotations
 
 import json
+import logging
 import urllib.error
 import urllib.request
 
@@ -117,12 +118,21 @@ class TestEndpoints:
         assert client._conn is first
 
 
+def blocked_worker(slot: int, tasks, events) -> None:
+    """Takes jobs and never finishes them, but still honours the
+    shutdown sentinel: once its first job runs, every later one waits
+    in the queue however fast the machine is."""
+    while tasks.get() is not None:
+        pass
+
+
 class TestOverload:
     def test_shed_is_429_with_retry_after(self, tmp_path):
         cluster = ClusterScheduler(
             shards=1,
+            workers_per_shard=1,
             admission=AdmissionController(watermark=1),
-            worker_target=slow_worker,
+            worker_target=blocked_worker,
         )
         cluster.start()
         server = make_cluster_server(cluster, port=0)
@@ -215,6 +225,34 @@ class TestServerLifecycle:
                 server.start()
         finally:
             server.stop()
+
+    def test_clean_stop_logs_no_error(self, caplog):
+        """Stopping with an idle keep-alive connection and a live event
+        stream open ends both quietly: no ERROR record (the asyncio
+        loop logs unretrieved task exceptions there)."""
+        cluster = ClusterScheduler(
+            shards=1, bus=EventBus(), worker_target=blocked_worker
+        )
+        cluster.start()
+        server = ClusterServer(cluster, port=0)
+        host, port = server.start()
+        client = ServiceClient(f"http://{host}:{port}")
+        streamer = ServiceClient(f"http://{host}:{port}")
+        try:
+            client.healthz()  # leaves one keep-alive connection idle
+            status = client.submit(SPEC)
+            events = streamer.events(status["job_id"])
+            assert next(events)["state"] in ("queued", "running")
+            with caplog.at_level(logging.DEBUG):
+                server.stop()
+            events.close()
+            errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+            assert errors == [], [r.getMessage() for r in errors]
+        finally:
+            client.close()
+            streamer.close()
+            server.stop()
+            cluster.shutdown()
 
     def test_stop_is_idempotent(self, tmp_path):
         cluster = ClusterScheduler(shards=1, worker_target=echo_worker)

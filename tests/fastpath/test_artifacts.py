@@ -197,3 +197,36 @@ def test_stats_json_is_plain(store, small_log):
     fields = json.loads(path.read_text())
     assert fields["benchmark"] == "tiny"
     assert fields["n_traces"] == 6
+
+
+def test_quick_evaluation_stores_only_logs_and_stats(store):
+    """The quick Figure 9 evaluation writes one compiled log (``.rac``)
+    and one log-stats entry (``.json``) per benchmark and nothing else;
+    a rerun on the warm store reads everything and writes nothing."""
+    from repro.experiments.dataset import quick_subset
+    from repro.experiments.runner import run_all
+
+    def evaluate():
+        # A coarse scale keeps the cold synthesis cheap; the artifact
+        # traffic per benchmark does not depend on it.
+        return run_all(
+            subset=quick_subset(),
+            experiment_ids=("figure-9",),
+            scale_multiplier=8.0,
+        )
+
+    before = _totals()
+    cold = evaluate()
+    entries = [path for path in store.root.rglob("*") if path.is_file()]
+    suffixes = sorted(path.suffix for path in entries)
+    n_benches = len(quick_subset())
+    assert suffixes == [".json"] * n_benches + [".rac"] * n_benches
+    assert _delta(before)["stores"] == 2 * n_benches
+
+    before = _totals()
+    warm = evaluate()
+    delta = _delta(before)
+    assert delta["stores"] == 0
+    assert delta["misses"] == 0
+    assert delta["logs_synthesized"] == 0
+    assert [result.rows for result in warm] == [result.rows for result in cold]

@@ -1,13 +1,11 @@
 """Object path vs compiled fast path: byte-identical results.
 
 Every policy, both manager families, every generational promotion
-config — and every compiled replay tier (the batched loop, the
-specialized kernels with scalar guards, and the kernels with the
-vectorized columnar guards) must agree with the object path on the
-full :class:`~repro.cachesim.stats.SimulationResult`, including the
-float-accumulated overhead instruction totals (``==``, not isclose:
-the fast path charges effects in the same order, so the floats match
-bit for bit).
+config: the batched loop over the compiled log must agree with the
+object path on the full :class:`~repro.cachesim.stats.SimulationResult`,
+including the float-accumulated overhead instruction totals (``==``,
+not isclose: the fast path charges effects in the same order, so the
+floats match bit for bit).
 """
 
 from __future__ import annotations
@@ -20,17 +18,23 @@ from repro.core.generational import GenerationalCacheManager
 from repro.core.unified import UnifiedCacheManager
 from repro.fastpath import (
     FASTPATH_TOTALS,
-    batched_path,
     compile_log,
     disable_fastpath,
     enable_fastpath,
     fastpath_enabled,
     object_path,
-    set_vectorized,
-    vectorized_enabled,
 )
 from repro.overhead.model import TABLE2_COSTS
 from repro.policies import POLICIES
+from repro.tracelog.records import (
+    EndOfLog,
+    ModuleUnmap,
+    TraceAccess,
+    TraceCreate,
+    TraceLog,
+    TracePin,
+    TraceUnpin,
+)
 from repro.workloads.catalog import get_profile
 from repro.workloads.synthesis import synthesize_log
 
@@ -63,48 +67,88 @@ LOGS = {
 
 
 def assert_equivalent(log, make_manager, cost_model=TABLE2_COSTS):
-    """Replay *log* through every compiled tier and compare each
-    against the object path.  Managers without a kernel spec simply
-    take the batched loop on the kernel tiers — the equivalence
-    contract is the same either way."""
+    """Replay *log* on the object path and the compiled log through
+    the batched loop; the two results must agree field for field."""
     compiled = compile_log(log)
     with object_path():
         reference = CacheSimulator(make_manager(), cost_model).run(log)
-    outcomes = {}
-    was_vectorized = vectorized_enabled()
-    try:
-        with batched_path():
-            outcomes["batched"] = CacheSimulator(
-                make_manager(), cost_model
-            ).run(compiled)
-        set_vectorized(False)
-        outcomes["specialized"] = CacheSimulator(
-            make_manager(), cost_model
-        ).run(compiled)
-        set_vectorized(True)
-        before = FASTPATH_TOTALS["fast_replays"]
-        outcomes["vectorized"] = CacheSimulator(
-            make_manager(), cost_model
-        ).run(compiled)
-        assert FASTPATH_TOTALS["fast_replays"] == before + 1, (
-            "compiled replay did not take the fast path"
-        )
-    finally:
-        set_vectorized(was_vectorized)
-    for tier, outcome in outcomes.items():
-        assert outcome.stats == reference.stats, tier
-        assert (
-            outcome.overhead_instructions == reference.overhead_instructions
-        ), tier
-        assert outcome.final_fragmentation == reference.final_fragmentation
-        assert outcome.final_occupancy == reference.final_occupancy
-        assert outcome.benchmark == reference.benchmark
-        assert outcome.manager_name == reference.manager_name
-    return outcomes["vectorized"]
+    before = FASTPATH_TOTALS["fast_replays"]
+    outcome = CacheSimulator(make_manager(), cost_model).run(compiled)
+    assert FASTPATH_TOTALS["fast_replays"] == before + 1, (
+        "compiled replay did not take the fast path"
+    )
+    assert outcome.stats == reference.stats
+    assert outcome.overhead_instructions == reference.overhead_instructions
+    assert outcome.final_fragmentation == reference.final_fragmentation
+    assert outcome.final_occupancy == reference.final_occupancy
+    assert outcome.benchmark == reference.benchmark
+    assert outcome.manager_name == reference.manager_name
+    return outcome
 
 
 def _capacity(log, fraction=0.5):
     return max(4096, int(log.total_trace_bytes * fraction))
+
+
+def _runs_log() -> TraceLog:
+    """Two access runs separated by an unmap, over a handful of
+    traces: long stretches of back-to-back hits."""
+    log = TraceLog(benchmark="runs", duration_seconds=1.0, code_footprint=4096)
+    t = 0
+    for tid in range(4):
+        t += 1
+        log.append(
+            TraceCreate(time=t, trace_id=tid, size=100 + tid, module_id=tid % 2)
+        )
+    for k in range(20):
+        t += 1
+        log.append(TraceAccess(time=t, trace_id=k % 4, repeat=1 + k % 3))
+    t += 1
+    log.append(ModuleUnmap(time=t, module_id=1))
+    for k in range(6):
+        t += 1
+        log.append(TraceAccess(time=t, trace_id=2 * (k % 2), repeat=1))
+    log.append(EndOfLog(time=t + 1))
+    return log
+
+
+def _storm_log() -> TraceLog:
+    """Unmap storm: every round unmaps a module out from under the hot
+    working set, so the next round re-creates its traces through
+    conflict misses.  Pins ride along."""
+    log = TraceLog(benchmark="storm", duration_seconds=1.0, code_footprint=8192)
+    t = 0
+    next_id = 0
+    live: list[int] = []
+    for round_no in range(6):
+        created = []
+        for _ in range(4):
+            t += 1
+            log.append(
+                TraceCreate(
+                    time=t,
+                    trace_id=next_id,
+                    size=64 + 8 * (next_id % 5),
+                    module_id=next_id % 4,
+                )
+            )
+            created.append(next_id)
+            next_id += 1
+        live = (live + created)[-10:]
+        t += 1
+        log.append(TracePin(time=t, trace_id=created[0]))
+        for _ in range(3):
+            for tid in live:
+                t += 1
+                log.append(
+                    TraceAccess(time=t, trace_id=tid, repeat=1 + tid % 3)
+                )
+        t += 1
+        log.append(TraceUnpin(time=t, trace_id=created[0]))
+        t += 1
+        log.append(ModuleUnmap(time=t, module_id=round_no % 4))
+    log.append(EndOfLog(time=t + 1))
+    return log
 
 
 @pytest.mark.parametrize("bench", sorted(LOGS))
@@ -154,6 +198,74 @@ def test_tight_capacity_equivalent(bench):
     )
 
 
+def test_runs_log_equivalent():
+    """Every access hits when capacity holds everything."""
+    log = _runs_log()
+    outcome = assert_equivalent(
+        log, lambda: UnifiedCacheManager(_capacity(log, 4.0))
+    )
+    assert outcome.stats.misses == 0
+
+
+@pytest.mark.parametrize("manager_kind", ["unified", "generational"])
+def test_unmap_storm_equivalent(manager_kind):
+    """Unmaps mid-working-set, pins on traces that are not resident:
+    the effect-stream residency map must track every removal."""
+    log = _storm_log()
+    if manager_kind == "unified":
+        make = lambda: UnifiedCacheManager(_capacity(log, 2.0))
+    else:
+        make = lambda: GenerationalCacheManager(
+            _capacity(log, 2.0), FIGURE9_CONFIGS[0]
+        )
+    outcome = assert_equivalent(log, make)
+    assert outcome.stats.unmap_evictions > 0
+
+
+def test_storm_tight_capacity_equivalent():
+    """A starved cache misses inside nearly every round."""
+    log = _storm_log()
+    outcome = assert_equivalent(
+        log, lambda: UnifiedCacheManager(max(1024, _capacity(log, 0.2)))
+    )
+    assert outcome.stats.misses > 0
+
+
+def test_replay_stops_at_end_of_log():
+    """Records after EndOfLog are never replayed: an access to a trace
+    that was never created would otherwise raise."""
+    log = _runs_log()
+    log.records.append(TraceAccess(time=10_000, trace_id=999))
+    outcome = assert_equivalent(
+        log, lambda: UnifiedCacheManager(_capacity(log, 4.0))
+    )
+    assert outcome.stats.accesses == sum(
+        record.repeat
+        for record in log.records[:-1]
+        if isinstance(record, TraceAccess)
+    )
+
+
+@pytest.mark.parametrize("policy", ["pseudo-circular", "lfu"])
+def test_trace_counters_match_object_path(policy):
+    """The batched loop keeps every resident trace's access counter
+    exact, whether or not the local policy reads it."""
+    log = _runs_log()
+
+    def final_counts(replay_log):
+        manager = UnifiedCacheManager(_capacity(log, 4.0), local_policy=policy)
+        CacheSimulator(manager, TABLE2_COSTS).run(replay_log)
+        return {
+            trace.trace_id: (trace.access_count, trace.last_access)
+            for trace in manager.cache.traces()
+        }
+
+    with object_path():
+        reference = final_counts(log)
+    assert final_counts(compile_log(log)) == reference
+    assert any(count for count, _ in reference.values())
+
+
 def test_no_cost_model_equivalent():
     log = LOGS["word"]
     assert_equivalent(
@@ -187,6 +299,10 @@ def test_disable_fastpath_switch():
     log = LOGS["gzip"]
     compiled = compile_log(log)
     assert fastpath_enabled()
+    before = dict(FASTPATH_TOTALS)
+    CacheSimulator(UnifiedCacheManager(_capacity(log))).run(compiled)
+    assert FASTPATH_TOTALS["fast_replays"] == before["fast_replays"] + 1
+    assert FASTPATH_TOTALS["object_replays"] == before["object_replays"]
     disable_fastpath()
     try:
         assert not fastpath_enabled()
@@ -205,3 +321,13 @@ def test_object_path_context_restores():
         # Inner exit must not prematurely re-enable.
         assert not fastpath_enabled()
     assert fastpath_enabled()
+
+
+@pytest.mark.parametrize(
+    "value, enabled",
+    [(None, True), ("1", True), ("batched", True), ("0", False), ("OFF", False)],
+)
+def test_env_switch_is_on_off(value, enabled):
+    from repro.fastpath.replay import _enabled_from_env
+
+    assert _enabled_from_env(value) is enabled
