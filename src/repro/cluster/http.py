@@ -64,6 +64,9 @@ MAX_HEADER_BYTES = 64 * KB
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8360
 
+#: How long :func:`serve_until_signal` blocks between signal checks.
+_SIGNAL_POLL_SECONDS = 0.2
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -482,7 +485,12 @@ def serve_until_signal(server: ClusterServer, grace: float = 30.0) -> int:
         for signum in (signal.SIGTERM, signal.SIGINT)
     }
     try:
-        stop.wait()
+        # Timed waits, not one untimed wait: when the kernel delivers
+        # the signal to a worker thread, the untimed lock wait on the
+        # main thread is never interrupted, so the Python handler (which
+        # only runs on the main thread) would never get to set *stop*.
+        while not stop.wait(_SIGNAL_POLL_SECONDS):
+            pass
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)

@@ -42,6 +42,9 @@ MAX_BODY_BYTES = 64 * MB
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8350
 
+#: How long :func:`serve_until_signal` blocks between signal checks.
+_SIGNAL_POLL_SECONDS = 0.2
+
 
 class ServiceServer(ThreadingHTTPServer):
     """ThreadingHTTPServer that carries the scheduler reference."""
@@ -193,7 +196,12 @@ def serve_until_signal(server: ServiceServer, grace: float = 30.0) -> int:
     )
     thread.start()
     try:
-        stop.wait()
+        # Timed waits, not one untimed wait: when the kernel delivers
+        # the signal to a worker thread, the untimed lock wait on the
+        # main thread is never interrupted, so the Python handler (which
+        # only runs on the main thread) would never get to set *stop*.
+        while not stop.wait(_SIGNAL_POLL_SECONDS):
+            pass
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)

@@ -1,474 +1,56 @@
-"""The policy-specialized replay kernels.
+"""Replay-tier selection in :meth:`CacheSimulator.run`.
 
-Plan construction (streak collapsing, chunk retry ladders), spec
-selection and the structural prologue guards, the replay-tier
-switches, forced mid-batch aborts with bit-identical resume,
-unmap-storm side exits, dead-store elimination, and the on-disk plan
-artifact round trip.
+There is one compiled tier, the batched loop; the object path is the
+reference behind ``REPRO_FASTPATH=0`` / :func:`disable_fastpath`.  The
+switch must route every replay to exactly one of the two.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cachesim.simulator import CacheSimulator
-from repro.core.config import FIGURE9_CONFIGS, GenerationalConfig, PromotionMode
-from repro.core.generational import GenerationalCacheManager
-from repro.core.manager import KernelSpec
 from repro.core.unified import UnifiedCacheManager
 from repro.fastpath import (
     FASTPATH_TOTALS,
     compile_log,
-    fastpath_mode,
-    object_path,
-    prepare_plan,
-    set_abort_fuzz,
-    set_fastpath_mode,
-    set_vectorized,
-    vectorized_enabled,
+    disable_fastpath,
+    enable_fastpath,
+    fastpath_enabled,
 )
-from repro.fastpath import artifacts as artifacts_module
-from repro.fastpath.artifacts import configure
-from repro.fastpath.kernels import (
-    CHUNK_RECORDS,
-    KIND_SCALAR,
-    KIND_STREAK,
-    build_plan,
-)
-from repro.overhead.model import TABLE2_COSTS
-from repro.tracelog.records import (
-    EndOfLog,
-    ModuleUnmap,
-    TraceAccess,
-    TraceCreate,
-    TraceLog,
-    TracePin,
-    TraceUnpin,
-)
-
-LONG_RUN = 3 * CHUNK_RECORDS - 4  # spans multiple chunks, ragged tail
-SHORT_RUN = CHUNK_RECORDS - 2
+from repro.tracelog.records import EndOfLog, TraceAccess, TraceCreate, TraceLog
 
 
 def _runs_log() -> TraceLog:
-    """Two access runs (one multi-chunk, one single-chunk) separated
-    by an unmap, over a handful of traces."""
     log = TraceLog(benchmark="runs", duration_seconds=1.0, code_footprint=4096)
     t = 0
     for tid in range(4):
         t += 1
-        log.append(
-            TraceCreate(time=t, trace_id=tid, size=100 + tid, module_id=tid % 2)
-        )
-    for k in range(LONG_RUN):
+        log.append(TraceCreate(time=t, trace_id=tid, size=100 + tid, module_id=0))
+    for k in range(12):
         t += 1
         log.append(TraceAccess(time=t, trace_id=k % 4, repeat=1 + k % 3))
-    t += 1
-    log.append(ModuleUnmap(time=t, module_id=1))
-    for k in range(SHORT_RUN):
-        t += 1
-        log.append(TraceAccess(time=t, trace_id=2 * (k % 2), repeat=1))
     log.append(EndOfLog(time=t + 1))
     return log
 
 
-def _storm_log() -> TraceLog:
-    """Unmap storm: every round unmaps a module out from under the hot
-    working set, so the next run's guard side-exits and the re-creating
-    misses replay through the chunk retry ladder.  Pins ride along."""
-    log = TraceLog(benchmark="storm", duration_seconds=1.0, code_footprint=8192)
-    t = 0
-    next_id = 0
-    live: list[int] = []
-    for round_no in range(6):
-        created = []
-        for _ in range(4):
-            t += 1
-            log.append(
-                TraceCreate(
-                    time=t,
-                    trace_id=next_id,
-                    size=64 + 8 * (next_id % 5),
-                    module_id=next_id % 4,
-                )
-            )
-            created.append(next_id)
-            next_id += 1
-        live = (live + created)[-10:]
-        t += 1
-        log.append(TracePin(time=t, trace_id=created[0]))
-        for _ in range(3):
-            for tid in live:
-                t += 1
-                log.append(
-                    TraceAccess(time=t, trace_id=tid, repeat=1 + tid % 3)
-                )
-        t += 1
-        log.append(TraceUnpin(time=t, trace_id=created[0]))
-        t += 1
-        log.append(ModuleUnmap(time=t, module_id=round_no % 4))
-    log.append(EndOfLog(time=t + 1))
-    return log
-
-
-def _delta(before: dict) -> dict:
-    return {k: FASTPATH_TOTALS[k] - before[k] for k in before}
-
-
-def _capacity(log, fraction=2.0) -> int:
-    return max(4096, int(log.total_trace_bytes * fraction))
-
-
-def assert_all_tiers(log, make_manager):
-    """Replay through the kernels with both guard variants and check
-    each against the object path; returns the per-variant counter
-    deltas."""
-    compiled = compile_log(log)
-    with object_path():
-        reference = CacheSimulator(make_manager(), TABLE2_COSTS).run(log)
-    was = vectorized_enabled()
-    deltas = {}
-    try:
-        for vector in (False, True):
-            set_vectorized(vector)
-            before = dict(FASTPATH_TOTALS)
-            outcome = CacheSimulator(make_manager(), TABLE2_COSTS).run(compiled)
-            deltas[vector] = _delta(before)
-            assert outcome.stats == reference.stats, vector
-            assert (
-                outcome.overhead_instructions
-                == reference.overhead_instructions
-            ), vector
-            assert outcome.final_fragmentation == reference.final_fragmentation
-            assert outcome.final_occupancy == reference.final_occupancy
-    finally:
-        set_vectorized(was)
-    return deltas
-
-
-# ----------------------------------------------------------------------
-# Plan construction
-# ----------------------------------------------------------------------
-
-
-def test_plan_collapses_runs_and_chunks():
-    compiled = compile_log(_runs_log())
-    plan = build_plan(compiled)
-    kinds = [step[0] for step in plan.steps]
-    assert kinds == [
-        KIND_SCALAR,  # the creates
-        KIND_STREAK,  # the long run
-        KIND_SCALAR,  # the unmap
-        KIND_STREAK,  # the short run
-        KIND_SCALAR,  # end-of-log
-    ]
-    assert plan.n_records == len(compiled)
-
-    long_run = plan.steps[1]
-    _, start, end, items, tids, keyset, total_hits, chunks = long_run
-    assert end - start == LONG_RUN
-    # Collapsed to the distinct ids, guards precomputed in parallel.
-    assert sorted(tids) == [0, 1, 2, 3]
-    assert keyset == frozenset(tids)
-    assert total_hits == sum(1 + k % 3 for k in range(LONG_RUN))
-    assert sum(item[1] for item in items) == total_hits
-    # Last-occurrence order: the collapsed last_access must be the
-    # run's final timestamp for the trace accessed last.
-    assert items[-1][2] == max(item[2] for item in items)
-    # Multi-chunk run: the retry ladder tiles [start, end) exactly.
-    assert len(chunks) == (LONG_RUN + CHUNK_RECORDS - 1) // CHUNK_RECORDS
-    assert chunks[0][0] == start and chunks[-1][1] == end
-    assert all(
-        chunks[i][1] == chunks[i + 1][0] for i in range(len(chunks) - 1)
-    )
-    assert sum(chunk[5] for chunk in chunks) == total_hits
-
-    short_run = plan.steps[3]
-    assert short_run[2] - short_run[1] == SHORT_RUN
-    assert short_run[7] == ()  # single chunk: the run guard suffices
-
-
-def test_plan_stops_at_end_of_log():
-    log = _runs_log()
-    # Garbage after EndOfLog must never be planned (mirrors replay).
-    log.records.append(TraceAccess(time=10_000, trace_id=0))
-    compiled = compile_log(log)
-    plan = build_plan(compiled)
-    covered = plan.steps[-1][2]
-    assert covered < plan.n_records
-
-
-def test_prepare_plan_memoizes_in_process():
-    previous = artifacts_module._cache
-    configure(None)
-    try:
-        compiled = compile_log(_runs_log())
-        before = dict(FASTPATH_TOTALS)
-        plan = prepare_plan(compiled)
-        assert prepare_plan(compiled) is plan
-        delta = _delta(before)
-        assert delta["plans_built"] == 1
-        assert delta["plans_loaded"] == 0
-    finally:
-        artifacts_module._cache = previous
-
-
-def test_plan_artifact_round_trip(tmp_path):
-    previous = artifacts_module._cache
-    configure(tmp_path / "store")
-    try:
-        log = _runs_log()
-        before = dict(FASTPATH_TOTALS)
-        built = prepare_plan(compile_log(log))
-        assert _delta(before)["plans_built"] == 1
-        # A fresh compile of the same records has no memo slot: the
-        # plan must come back from the store, chunk ladders and all.
-        before = dict(FASTPATH_TOTALS)
-        loaded = prepare_plan(compile_log(log))
-        delta = _delta(before)
-        assert delta["plans_built"] == 0
-        assert delta["plans_loaded"] == 1
-        assert loaded.n_records == built.n_records
-        assert loaded.steps == built.steps
-    finally:
-        artifacts_module._cache = previous
-
-
-# ----------------------------------------------------------------------
-# Spec selection
-# ----------------------------------------------------------------------
-
-
-def test_spec_selection_by_policy():
-    log = _runs_log()
-    capacity = _capacity(log)
-    # Plain-touch, dead-counter policy: the simplest kernel shape.
-    spec = UnifiedCacheManager(capacity).replay_kernel_spec()
-    assert spec.kind == "single"
-    assert spec.live_counter_caches == ()
-    # LFU's victim scan reads the counters: still specializable, but
-    # the counter writes stay live.
-    spec = UnifiedCacheManager(
-        capacity, local_policy="lfu"
-    ).replay_kernel_spec()
-    assert spec.kind == "single"
-    assert spec.live_counter_caches == spec.cache_names
-    # Stateful recency policies fall back to the batched loop.
-    assert (
-        UnifiedCacheManager(capacity, local_policy="lru").replay_kernel_spec()
-        is None
-    )
-    gen_spec = GenerationalCacheManager(
-        capacity, FIGURE9_CONFIGS[0]
-    ).replay_kernel_spec()
-    assert gen_spec.kind == "multi"
-    assert len(gen_spec.cache_names) == 3
-    assert (
-        GenerationalCacheManager(
-            capacity,
-            GenerationalConfig(
-                promotion_mode=PromotionMode.ON_HIT,
-                promotion_threshold=2,
-                local_policy="lru",
-            ),
-        ).replay_kernel_spec()
-        is None
-    )
-
-
-def test_on_hit_promotion_spec_is_guarded():
-    log = _runs_log()
-    spec = GenerationalCacheManager(
-        _capacity(log),
-        GenerationalConfig(
-            promotion_mode=PromotionMode.ON_HIT, promotion_threshold=5
-        ),
-    ).replay_kernel_spec()
-    assert spec.guarded_cache is not None
-    assert spec.promotion_threshold == 5
-    assert spec.live_counter_caches == (spec.guarded_cache,)
-
-
-def test_bogus_spec_is_structural_abort():
-    """A manager whose spec misdescribes its caches must abort in the
-    prologue and fall back to the batched loop — correct results, one
-    guard abort, no specialized replay."""
-
-    class LyingManager(UnifiedCacheManager):
-        def replay_kernel_spec(self):
-            return KernelSpec(
-                kind="single",
-                cache_names=("not-my-cache",),
-                live_counter_caches=(),
-            )
-
-    log = _runs_log()
-    compiled = compile_log(log)
-    with object_path():
-        reference = CacheSimulator(
-            UnifiedCacheManager(_capacity(log)), TABLE2_COSTS
-        ).run(log)
-    before = dict(FASTPATH_TOTALS)
-    outcome = CacheSimulator(LyingManager(_capacity(log)), TABLE2_COSTS).run(
-        compiled
-    )
-    delta = _delta(before)
-    assert delta["guard_aborts"] == 1
-    assert delta["specialized_replays"] == 0
-    assert delta["fast_replays"] == 1  # the batched loop picked it up
-    assert outcome.stats == reference.stats
-    assert outcome.overhead_instructions == reference.overhead_instructions
-
-
-# ----------------------------------------------------------------------
-# Tier switches
-# ----------------------------------------------------------------------
+def _delta(before: dict[str, int]) -> dict[str, int]:
+    return {key: FASTPATH_TOTALS[key] - before[key] for key in before}
 
 
 def test_mode_switch_selects_tier():
     log = _runs_log()
     compiled = compile_log(log)
-    was = fastpath_mode()
+    was = fastpath_enabled()
     try:
-        for mode, key in (
-            ("kernel", "specialized_replays"),
-            ("batched", "fast_replays"),
-            ("off", "object_replays"),
+        for mode, switch, key, other in (
+            ("batched", enable_fastpath, "fast_replays", "object_replays"),
+            ("off", disable_fastpath, "object_replays", "fast_replays"),
         ):
-            set_fastpath_mode(mode)
-            before = dict(FASTPATH_TOTALS)
-            CacheSimulator(UnifiedCacheManager(_capacity(log))).run(compiled)
-            delta = _delta(before)
-            assert delta[key] == 1, mode
-            if mode != "kernel":
-                assert delta["specialized_replays"] == 0, mode
+            switch()
+            for replay_log in (compiled, log):
+                before = dict(FASTPATH_TOTALS)
+                CacheSimulator(UnifiedCacheManager(4096)).run(replay_log)
+                delta = _delta(before)
+                assert delta[key] == 1, mode
+                assert delta[other] == 0, mode
     finally:
-        set_fastpath_mode(was)
-    with pytest.raises(ValueError):
-        set_fastpath_mode("turbo")
-
-
-def test_vectorized_toggle_counts_replays():
-    log = _runs_log()
-    deltas = assert_all_tiers(
-        log, lambda: UnifiedCacheManager(_capacity(log))
-    )
-    for vector, delta in deltas.items():
-        assert delta["specialized_replays"] == 1
-        assert delta["vectorized_replays"] == (1 if vector else 0)
-        assert delta["segment_commits"] > 0
-        assert delta["guard_aborts"] == 0
-
-
-# ----------------------------------------------------------------------
-# Speculation: commits, side exits, aborts
-# ----------------------------------------------------------------------
-
-
-def test_clean_log_commits_every_run():
-    """With capacity for everything, every run commits whole: streak
-    coverage is every access record, and no side exits fire."""
-    log = _runs_log()
-    deltas = assert_all_tiers(
-        log, lambda: UnifiedCacheManager(_capacity(log, 4.0))
-    )
-    for delta in deltas.values():
-        assert delta["streak_records"] == LONG_RUN + SHORT_RUN
-        assert delta["segment_commits"] == 2
-        assert delta["segment_side_exits"] == 0
-
-
-@pytest.mark.parametrize("manager_kind", ["unified", "generational"])
-def test_unmap_storm_side_exits(manager_kind):
-    """Unmaps mid-working-set force guard side exits; the chunk retry
-    ladder contains the damage and the results stay bit-identical."""
-    log = _storm_log()
-    if manager_kind == "unified":
-        make = lambda: UnifiedCacheManager(_capacity(log))
-    else:
-        make = lambda: GenerationalCacheManager(
-            _capacity(log), FIGURE9_CONFIGS[0]
-        )
-    deltas = assert_all_tiers(log, make)
-    for delta in deltas.values():
-        assert delta["specialized_replays"] == 1
-        assert delta["segment_side_exits"] > 0
-        assert delta["segment_commits"] > 0  # clean chunks still commit
-        assert delta["guard_aborts"] == 0
-
-
-@pytest.mark.parametrize("manager_kind", ["unified", "generational"])
-@pytest.mark.parametrize("after", [0, 1])
-def test_forced_abort_resumes_bit_identical(manager_kind, after):
-    """``set_abort_fuzz`` kills speculation mid-replay (after 0 or 1
-    committed runs); the scalar remainder must agree with the object
-    path exactly."""
-    log = _storm_log()
-    if manager_kind == "unified":
-        make = lambda: UnifiedCacheManager(_capacity(log))
-    else:
-        make = lambda: GenerationalCacheManager(
-            _capacity(log), FIGURE9_CONFIGS[1]
-        )
-    set_abort_fuzz(after)
-    try:
-        deltas = assert_all_tiers(log, make)
-    finally:
-        set_abort_fuzz(None)
-    for delta in deltas.values():
-        assert delta["guard_aborts"] == 1
-        assert delta["segment_commits"] == after
-
-
-def test_tight_capacity_churn():
-    """A starved cache misses inside nearly every run — maximal
-    de-optimization pressure on the chunk ladder."""
-    log = _storm_log()
-    deltas = assert_all_tiers(
-        log, lambda: UnifiedCacheManager(max(1024, _capacity(log, 0.2)))
-    )
-    for delta in deltas.values():
-        assert delta["segment_side_exits"] > 0
-        assert delta["guard_aborts"] == 0
-
-
-# ----------------------------------------------------------------------
-# Dead-store elimination
-# ----------------------------------------------------------------------
-
-
-def test_dead_counters_are_skipped():
-    """Nothing reads a pseudo-circular cache's per-trace counters, so
-    the kernel provably skips the per-hit writes — the LFU variant
-    (whose victim scan reads them) must keep them exact."""
-    log = _runs_log()
-    compiled = compile_log(log)
-
-    def final_counts(local_policy):
-        manager = UnifiedCacheManager(
-            _capacity(log, 4.0), local_policy=local_policy
-        )
-        CacheSimulator(manager, TABLE2_COSTS).run(compiled)
-        return {
-            tid: trace.access_count
-            for tid, trace in manager.caches()[0].resident_map().items()
-        }
-
-    def object_counts(local_policy):
-        manager = UnifiedCacheManager(
-            _capacity(log, 4.0), local_policy=local_policy
-        )
-        with object_path():
-            CacheSimulator(manager, TABLE2_COSTS).run(log)
-        return {
-            tid: trace.access_count
-            for tid, trace in manager.caches()[0].resident_map().items()
-        }
-
-    # Dead counters: every committed hit skipped the write, so the
-    # counts sit at their insertion values.
-    dead = final_counts("pseudo-circular")
-    assert dead != object_counts("pseudo-circular")
-    assert all(count == 0 for count in dead.values())
-    # Live counters: bit-identical to the object path.
-    assert final_counts("lfu") == object_counts("lfu")
+        (enable_fastpath if was else disable_fastpath)()
