@@ -10,9 +10,17 @@ full-scale versions are available through the CLI
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
+
+# The per-record oracle the fleet benches compare against lives in the
+# test suite (tests/shared/oracle.py); make the repository root
+# importable however pytest was launched.
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
 
 from repro.experiments.base import ExperimentResult, render_table
 

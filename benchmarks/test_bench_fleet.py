@@ -7,8 +7,8 @@ by the final test in this module:
   random schedule) end to end: events/sec and the dedup ratio the
   scaling table reports;
 * **interleaver speedup** — the O(1)-amortized streaming scheduler
-  vs the per-record reference interleaver merging the same P=256
-  homogeneous fleet (the CI floor is 5x);
+  vs the per-record oracle interleaver (``tests/shared/oracle.py``)
+  merging the same P=256 homogeneous fleet (the CI floor is 5x);
 * **memory scaling** — tracemalloc peak of a P=1024 homogeneous run
   vs P=8 at identical per-process scale: lazy synthesis keeps memory
   O(distinct workloads), so the CI ceiling is 3x despite 128x the
@@ -37,8 +37,14 @@ from repro.experiments.fleet import (
     simulate_fleet_cell,
 )
 from repro.shared import build_process_workloads, make_group, sharing_config_for
-from repro.shared.fleet import FleetSimulator, FleetWorkloads, ProcessStream, stream_segments
-from repro.sim.interleave import DEFAULT_QUANTUM, interleave_logs
+from repro.shared.fleet import (
+    DEFAULT_QUANTUM,
+    FleetSimulator,
+    FleetWorkloads,
+    ProcessStream,
+    stream_segments,
+)
+from tests.shared.oracle import interleave_logs
 
 #: Deep scale divisor: the process axis is the thing under test, so
 #: per-process logs stay ~1k records.
@@ -82,7 +88,7 @@ def test_bench_fleet_scaling_cell(benchmark):
 
 
 def test_bench_interleaver_speedup(benchmark):
-    """Streaming scheduler vs per-record reference interleaver, P=256.
+    """Streaming scheduler vs the per-record oracle interleaver, P=256.
 
     Both schedule the identical homogeneous fleet; the fleet scheduler
     yields one segment per turn instead of one object per record, so

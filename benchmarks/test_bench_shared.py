@@ -1,7 +1,8 @@
 """Benchmarks for the cross-process shared-cache extension.
 
 * the shared experiment table itself (the acceptance comparison);
-* interleaver throughput — records/sec merging 2/4/8 process logs;
+* interleaver throughput — records/sec the production scheduler
+  (``stream_segments``) interleaves across 2/4/8 process logs;
 * interner throughput — content keys/sec under heavy duplication.
 """
 
@@ -12,7 +13,7 @@ from conftest import run_once
 
 from repro.experiments import shared as shared_experiment
 from repro.shared import TraceInterner, TraceKey, build_process_workloads
-from repro.sim.interleave import interleave_logs
+from repro.shared.fleet import ProcessStream, stream_segments
 
 
 def test_bench_shared_table(benchmark, publish):
@@ -36,16 +37,20 @@ def test_bench_shared_table(benchmark, publish):
 
 @pytest.mark.parametrize("processes", [2, 4, 8])
 def test_bench_interleave_throughput(benchmark, processes):
-    """Deterministic round-robin merge of N heterogeneous logs."""
+    """Deterministic round-robin schedule of N heterogeneous logs."""
     workloads = build_process_workloads(
         shared_experiment.mix_benchmarks("heterogeneous", processes),
         seed=42,
         scale_multiplier=4.0,
     )
     logs = [w.log for w in workloads]
+    streams = [ProcessStream(length=len(log.records)) for log in logs]
 
     def merge() -> int:
-        return sum(1 for _ in interleave_logs(logs, schedule="round-robin"))
+        return sum(
+            segment.stop - segment.start
+            for segment in stream_segments(streams, schedule="round-robin")
+        )
 
     total = run_once(benchmark, merge)
     assert total == sum(len(log.records) for log in logs)

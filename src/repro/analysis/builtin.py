@@ -417,8 +417,8 @@ class FleetApiRule(Rule):
     """The fleet simulation internals stay inside
     :mod:`repro.shared.fleet`: the scheduler's segment accounting, the
     distinct-workload cursor sharing, and the columnar replay loop are
-    one coupled mechanism whose equivalence to the reference simulator
-    is regression-pinned, so other layers consume the package root's
+    one coupled mechanism whose equivalence to the per-record test
+    oracle is regression-pinned, so other layers consume the package root's
     public surface (``FleetWorkloads``, ``FleetSimulator``,
     ``stream_segments``, ``churn_plan``) and never assemble a
     :class:`DistinctWorkload` by hand."""

@@ -28,9 +28,11 @@ publish terminal transitions to the :class:`~repro.cluster.events.EventBus`,
 which hops onto this loop; subscribers here read per-job asyncio queues
 primed with the bus's replay tail, so subscribing after the job
 finished still yields the terminal event (no hung long-polls).
-Blocking cluster calls (submission's store probe, result reads from
-disk) run in the loop's default executor to keep the loop responsive
-under hundreds of concurrent clients.
+Blocking cluster calls (submission's store probe, status and result
+lookups, which fall back to the tiered store once a terminal record
+has left its shard's retention table) run in the loop's default
+executor to keep the loop responsive under hundreds of concurrent
+clients.
 """
 
 from __future__ import annotations
@@ -348,11 +350,14 @@ class ClusterServer:
             elif route == ("metrics",):
                 await self._send_json(writer, 200, cluster.metrics_dict())
             elif len(route) == 2 and route[0] == "jobs":
-                await self._send_json(
-                    writer, 200, cluster.status_dict(route[1])
+                status = await loop.run_in_executor(
+                    None, cluster.status_dict, route[1]
                 )
+                await self._send_json(writer, 200, status)
             elif len(route) == 2 and route[0] == "results":
-                status = cluster.status_dict(route[1])
+                status = await loop.run_in_executor(
+                    None, cluster.status_dict, route[1]
+                )
                 if status["state"] != DONE:
                     error = status["error"]
                     await self._send_json(
@@ -385,8 +390,11 @@ class ClusterServer:
     async def _stream_events(
         self, job_id: str, writer: asyncio.StreamWriter
     ) -> None:
+        loop = asyncio.get_running_loop()
         try:
-            status = self.cluster.status_dict(job_id)
+            status = await loop.run_in_executor(
+                None, self.cluster.status_dict, job_id
+            )
         except JobNotFoundError as exc:
             await self._send_json(writer, 404, {"error": str(exc)})
             return

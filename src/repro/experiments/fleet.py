@@ -1,10 +1,10 @@
 """Fleet-scale shared-cache scaling curves (extension).
 
 The :mod:`repro.experiments.shared` table stops at 8 processes — the
-paper's scale, and the reference simulator's.  This family extends the
-same question ("what does sharing buy at equal total capacity?") to
-datacenter fleet sizes, P ∈ {8 … 1024}, using the
-:mod:`repro.shared.fleet` stack: distinct workload contents are
+paper's scale.  This family extends the same question ("what does
+sharing buy at equal total capacity?") to datacenter fleet sizes,
+P ∈ {8 … 1024}, on the same :mod:`repro.shared.fleet` engine the
+shared table replays through: distinct workload contents are
 synthesized and compiled once, processes are cursors over them, and
 the streaming scheduler keeps interleaving cost independent of P.
 
@@ -37,10 +37,14 @@ from repro.experiments.evaluation import baseline_capacity
 from repro.experiments.shared import HETEROGENEOUS_PALETTE, HOMOGENEOUS_BENCHMARK
 from repro.shared import SHARED_PERSISTENT
 from repro.shared.compose import LIBRARY_CATALOG, zipf_reaches
-from repro.shared.fleet import FleetSimulator, FleetWorkloads, churn_plan
+from repro.shared.fleet import (
+    DEFAULT_QUANTUM,
+    FleetSimulator,
+    FleetWorkloads,
+    churn_plan,
+)
 from repro.shared.manager import make_group
 from repro.shared.policy import MIX_KINDS, POLICY_VARIANTS, sharing_config_for
-from repro.sim.interleave import DEFAULT_QUANTUM
 from repro.units import KB
 
 #: Process counts of the full and the --quick scaling curve.

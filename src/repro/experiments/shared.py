@@ -27,10 +27,9 @@ from repro.errors import ConfigError
 from repro.experiments.base import ExperimentResult, attach_provenance
 from repro.experiments.evaluation import baseline_capacity
 from repro.shared.compose import build_process_workloads
+from repro.shared.fleet import DEFAULT_QUANTUM, FleetSimulator, FleetWorkloads
 from repro.shared.manager import make_group
 from repro.shared.policy import MIX_KINDS, POLICY_VARIANTS, sharing_config_for
-from repro.shared.simulator import MultiProcessSimulator
-from repro.sim.interleave import DEFAULT_QUANTUM
 from repro.units import KB
 
 #: Benchmark replicated by the homogeneous mix.
@@ -78,7 +77,6 @@ def simulate_mix(
     scale_multiplier: float = 1.0,
     schedule: str = "round-robin",
     quantum: int = DEFAULT_QUANTUM,
-    engine: str = "legacy",
 ) -> dict[str, object]:
     """Simulate one (mix, process count, policy) cell.
 
@@ -86,16 +84,9 @@ def simulate_mix(
     ``shared-mix`` service job, and the smoke tests all call it, so
     every execution path produces identical numbers.
 
-    ``engine="fleet"`` replays the same cell through the fleet stack
-    (:mod:`repro.shared.fleet`) instead of the reference simulator; the
-    two are regression-tested to produce identical dicts, which is the
-    fleet experiment's correctness anchor.
-
     Returns:
         A JSON-safe dict of the cell's aggregate metrics.
     """
-    if engine not in ("legacy", "fleet"):
-        raise ConfigError(f"unknown shared engine {engine!r}")
     benchmarks = mix_benchmarks(mix, processes)
     workloads = build_process_workloads(
         benchmarks, seed=seed, scale_multiplier=scale_multiplier
@@ -106,21 +97,13 @@ def simulate_mix(
     group = make_group(
         capacities, GenerationalConfig(), sharing_config_for(policy)
     )
-    if engine == "fleet":
-        from repro.shared.fleet import FleetSimulator, FleetWorkloads
-
-        sim = FleetSimulator(
-            group,
-            FleetWorkloads.from_process_workloads(workloads),
-            schedule=schedule,
-            seed=seed,
-            quantum=quantum,
-        )
-    else:
-        sim = MultiProcessSimulator(
-            group, workloads, schedule=schedule, seed=seed, quantum=quantum
-        )
-    outcome = sim.run()
+    outcome = FleetSimulator(
+        group,
+        FleetWorkloads.from_process_workloads(workloads),
+        schedule=schedule,
+        seed=seed,
+        quantum=quantum,
+    ).run()
     return {
         "mix": mix,
         "processes": processes,

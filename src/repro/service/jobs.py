@@ -42,8 +42,8 @@ from dataclasses import asdict, dataclass, fields
 from repro.analysis.sanitizer import DEFAULT_STRIDE
 from repro.core.config import GenerationalConfig, PromotionMode
 from repro.errors import ConfigError
+from repro.shared.fleet import DEFAULT_QUANTUM, SCHEDULES
 from repro.shared.policy import MIX_KINDS, POLICY_VARIANTS
-from repro.sim.interleave import DEFAULT_QUANTUM, SCHEDULES
 
 #: Bump when the job/payload wire format changes incompatibly; part of
 #: the content address, so old store blobs are never misread.

@@ -134,10 +134,11 @@ class Scheduler:
         queue_size: Bounded-admission limit for waiting jobs.
         completed_retention: Keep at most this many terminal job
             records in memory; older ones are evicted from the job
-            table (their payloads live in the store, so a resubmission
-            becomes a store hit).  None (the default) retains
-            everything — the long-running cluster shards set a bound so
-            the job table cannot grow without limit.
+            table (their payloads live in the store, which then answers
+            status and result queries and resubmissions).  None (the
+            default) retains everything — the long-running cluster
+            shards set a bound so the job table cannot grow without
+            limit.
         mp_context: ``multiprocessing`` start method; defaults to fork
             where available (fast) and spawn elsewhere.
         worker_target: Worker entry point, injectable for tests.
@@ -406,14 +407,30 @@ class Scheduler:
     def status(self, job_id: str) -> JobRecord:
         """The record for *job_id*.
 
+        A terminal record that ``completed_retention`` evicted is
+        answered from the store: a stored payload means the job is done
+        (``cached=True``, ``kind`` read from the payload).  The store
+        only holds successful payloads, so an evicted failed job is as
+        unknown as a never-submitted id.  The store read may touch the
+        disk; it happens outside the lock.
+
         Raises:
             JobNotFoundError: for an unknown id.
         """
         with self._lock:
             record = self._jobs.get(job_id)
-        if record is None:
+        if record is not None:
+            return record
+        payload = self.store.get(job_id) if self.store is not None else None
+        if payload is None:
             raise JobNotFoundError(f"unknown job id {job_id!r}")
-        return record
+        return JobRecord(
+            job_id=job_id,
+            spec=JobSpec(kind=payload.get("kind")),
+            state=DONE,
+            cached=True,
+            payload=payload,
+        )
 
     def status_dict(self, job_id: str) -> dict:
         """JSON status for *job_id*, snapshotted under the lock so the
@@ -437,6 +454,8 @@ class Scheduler:
 
     def result(self, job_id: str) -> dict:
         """The completed payload for *job_id*.
+
+        Like :meth:`status`, falls back to the store for an evicted id.
 
         Raises:
             JobNotFoundError: unknown id.

@@ -2,9 +2,10 @@
 
 The paper models one process owning one cache hierarchy.  This package
 extends the reproduction to multi-tenant scenarios: N processes replay
-concurrently (deterministically interleaved by :mod:`repro.sim.interleave`)
-against per-process nursery/probation generations backed by one
-reference-counted :class:`~repro.shared.cache.SharedPersistentCache`.
+concurrently (deterministically interleaved and replayed by
+:mod:`repro.shared.fleet`) against per-process nursery/probation
+generations backed by one reference-counted
+:class:`~repro.shared.cache.SharedPersistentCache`.
 Trace identity is content-addressed (:class:`~repro.shared.identity.TraceKey`),
 so structurally identical traces generated by different processes
 intern to one shared copy — the footprint/compilation savings ShareJIT
@@ -28,18 +29,15 @@ from repro.shared.policy import (
     TemperatureTracker,
     sharing_config_for,
 )
-from repro.shared.simulator import MultiProcessSimulator, SharedSimulationResult
 
 __all__ = [
     "InsertOutcome",
     "MIX_KINDS",
     "SHARED_PERSISTENT",
-    "MultiProcessSimulator",
     "POLICY_VARIANTS",
     "ProcessWorkload",
     "SharedCacheGroup",
     "SharedPersistentCache",
-    "SharedSimulationResult",
     "SharingConfig",
     "SharingPolicy",
     "TemperatureTracker",

@@ -1,35 +1,44 @@
-"""Fleet-scale multi-process replay (fleet internals).
+"""Multi-process replay against one cache group (fleet internals).
 
-:class:`FleetSimulator` is the scaling path of
-:class:`repro.shared.simulator.MultiProcessSimulator`: the same record
-semantics, the same accounting, the same
-:class:`~repro.shared.manager.SharedCacheGroup` and
-:class:`~repro.shared.identity.TraceInterner` — but driven by
-scheduler segments over shared compiled columns instead of per-record
-objects over per-process logs.
+:class:`FleetSimulator` is the cross-process analogue of
+:class:`repro.cachesim.simulator.CacheSimulator`: it replays N
+per-process trace logs, interleaved by a deterministic schedule
+(:func:`~repro.shared.fleet.scheduler.stream_segments`), against one
+:class:`~repro.shared.manager.SharedCacheGroup`, and owns the
+:class:`~repro.shared.identity.TraceInterner` that gives structurally
+identical traces from different processes one global identity.
 
-Equivalence contract: replaying the *same* workloads under the *same*
-(schedule, seed, quantum) with no churn produces a
-:class:`~repro.shared.simulator.SharedSimulationResult` identical to
-the reference simulator's, field for field — the regression tests pin
-the existing 2/4/8-process experiment cells on it.  Two state choices
-make the fleet version scale where the reference cannot:
+Accounting follows the single-process simulator's conventions —
+creations are compulsory (not misses), a conflict miss regenerates and
+reinserts, ``repeat`` expands to one maybe-miss plus hits — with one
+cross-process addition: a (re)generation that finds its content already
+resident in a shared cache is a **deduplicated generation**.  It costs
+no code bytes (``dedup_bytes`` instead of ``generated_bytes``), which
+is exactly the compilation ShareJIT avoids.
+
+The replay walks scheduler segments over shared compiled columns, not
+per-record objects over per-process logs.  Two state choices let it
+scale to a thousand processes:
 
 * the created-trace table (trace id → gid/size/module) is kept per
   **distinct workload**, not per process: content-identical processes
   produce identical tables, so sharing one costs nothing on valid
   logs (a log always creates before it accesses) while cutting that
   state from O(P·traces) to O(D·traces).  Interning still happens per
-  create *per process*, so gid identity and duplicate accounting stay
-  exactly the reference's.
+  create *per process*, so gid identity and duplicate accounting are
+  the same as with one table per process.
 * global virtual time is accumulated incrementally from the time
-  column as segments replay — same per-record deltas, no
-  ``ScheduledRecord`` objects.
+  column as segments replay — the same per-record deltas, no
+  per-record schedule objects.
 
-Churned processes add one behavior the reference never needed: a
-process killed early (its stream ``limit``) releases its pins and
-unmaps every module it created into, so the shared cache's
-reference counts drain exactly as OS teardown would drive them.
+The test suite keeps the per-record reference simulator as an oracle:
+without churn, both produce identical results field for field on
+every 2/4/8-process experiment cell.
+
+Churned processes add one behavior: a process killed early (its stream
+``limit``) releases its pins and unmaps every module it created into,
+so the shared cache's reference counts drain exactly as OS teardown
+would drive them.
 
 This module is fleet-internal (``fleet-api`` lint rule): other layers
 import the package root.
@@ -37,18 +46,80 @@ import the package root.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.cachesim.stats import CacheStats
 from repro.core.effects import Effect, Evicted, EvictionReason, Promoted
 from repro.errors import ConfigError, LogFormatError
 from repro.fastpath import OP_ACCESS, OP_CREATE, OP_END, OP_PIN, OP_UNMAP, OP_UNPIN
-from repro.shared.fleet.scheduler import ProcessStream, stream_segments
+from repro.shared.fleet.scheduler import (
+    DEFAULT_QUANTUM,
+    ProcessStream,
+    stream_segments,
+)
 from repro.shared.fleet.workloads import FleetWorkloads
 from repro.shared.identity import TraceInterner
 from repro.shared.manager import SharedCacheGroup
-from repro.shared.simulator import ProcessSummary, SharedSimulationResult
-from repro.sim.interleave import DEFAULT_QUANTUM
+
+
+@dataclass
+class ProcessSummary:
+    """One process's outcome of a multi-process replay."""
+
+    process: int
+    name: str
+    stats: CacheStats
+    generated_bytes: int = 0
+    dedup_generations: int = 0
+    dedup_bytes: int = 0
+
+
+@dataclass
+class SharedSimulationResult:
+    """Outcome of one multi-process replay."""
+
+    group_name: str
+    schedule: str
+    seed: int
+    quantum: int
+    total_capacity: int
+    processes: list[ProcessSummary] = field(default_factory=list)
+    resident_bytes: int = 0
+    duplicated_bytes: int = 0
+    unique_content_bytes: int = 0
+
+    @property
+    def accesses(self) -> int:
+        return sum(p.stats.accesses for p in self.processes)
+
+    @property
+    def hits(self) -> int:
+        return sum(p.stats.hits for p in self.processes)
+
+    @property
+    def misses(self) -> int:
+        return sum(p.stats.misses for p in self.processes)
+
+    @property
+    def miss_rate(self) -> float:
+        """Aggregate conflict-miss rate over all processes."""
+        return self.misses / self.accesses if self.accesses else 0.0
+
+    @property
+    def generated_bytes(self) -> int:
+        """Total bytes of code actually compiled (dedup excluded)."""
+        return sum(p.generated_bytes for p in self.processes)
+
+    @property
+    def dedup_generations(self) -> int:
+        """(Re)generations satisfied by an already-shared copy."""
+        return sum(p.dedup_generations for p in self.processes)
+
+    @property
+    def dedup_bytes(self) -> int:
+        """Compilation bytes avoided through sharing."""
+        return sum(p.dedup_bytes for p in self.processes)
 
 
 class FleetSimulator:
@@ -62,19 +133,16 @@ class FleetSimulator:
         seed: int = 0,
         quantum: int = DEFAULT_QUANTUM,
         streams: Sequence[ProcessStream] | None = None,
-        weights: Sequence[float] | None = None,
     ) -> None:
         """
         Args:
             group: The shared cache group (one slot per process).
             workloads: Distinct workloads plus per-process assignment.
-            schedule: Interleaving schedule (see reference simulator).
+            schedule: Interleaving schedule (one of ``SCHEDULES``).
             seed: Schedule substream seed.
             quantum: Records per scheduling turn.
             streams: Optional churned stream shapes (defaults to every
                 process replaying its full log from turn 0).
-            weights: Optional per-process draw weights (random
-                schedule only).
         """
         n = workloads.n_processes
         if n != group.n_processes:
@@ -104,7 +172,6 @@ class FleetSimulator:
         self.seed = seed
         self.quantum = quantum
         self.streams = list(streams)
-        self.weights = weights
         self.interner = TraceInterner()
         # Created-trace tables per *distinct* workload: trace id ->
         # (gid, size, module_id).
@@ -142,7 +209,6 @@ class FleetSimulator:
             schedule=self.schedule,
             seed=self.seed,
             quantum=self.quantum,
-            weights=self.weights,
         ):
             process = segment.process
             distinct_index = workloads.assignment[process]
@@ -215,7 +281,7 @@ class FleetSimulator:
         return self._exited
 
     # ------------------------------------------------------------------
-    # Record handlers (reference-simulator semantics over packed rows)
+    # Record handlers (over packed rows)
     # ------------------------------------------------------------------
 
     def _on_create(

@@ -129,7 +129,7 @@ class FleetWorkloads:
     def from_process_workloads(
         cls, workloads: Sequence[ProcessWorkload]
     ) -> "FleetWorkloads":
-        """Wrap eagerly built workloads (the small-P compatibility path).
+        """Wrap eagerly built workloads (the shared table's path).
 
         ``build_process_workloads`` reuses one ``ProcessWorkload``
         object per distinct benchmark, so identity-dedup recovers the

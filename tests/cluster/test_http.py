@@ -195,6 +195,34 @@ class TestEventStream:
         with pytest.raises(ServiceError, match="HTTP 404"):
             list(client.events("j" + "0" * 31))
 
+    def test_stream_on_evicted_job_yields_terminal_event(self):
+        """A job whose terminal record left the shard's retention table
+        is still done: its status, event stream and result are answered
+        from the tiered store instead of 404."""
+        cluster = ClusterScheduler(
+            shards=1,
+            store=TieredResultStore(),
+            bus=EventBus(),
+            completed_retention=1,
+            worker_target=echo_worker,
+        )
+        cluster.start()
+        server = make_cluster_server(cluster, port=0)
+        host, port = server.address
+        try:
+            with ServiceClient(f"http://{host}:{port}") as client:
+                evicted = client.submit_and_wait(SPEC, timeout=30)[0]
+                client.submit_and_wait(_spec(1), timeout=30)
+                events = list(client.events(evicted["job_id"]))
+                assert [(e["state"], e["cached"]) for e in events] == [
+                    ("done", True)
+                ]
+                assert client.status(evicted["job_id"])["state"] == "done"
+                assert client.result(evicted["job_id"])["echo"] == "figure-1"
+        finally:
+            server.stop()
+            cluster.shutdown()
+
     def test_live_stream_sees_running_then_done(self, tmp_path):
         cluster = ClusterScheduler(
             shards=1, bus=EventBus(), worker_target=slow_worker

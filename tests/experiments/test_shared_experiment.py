@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigError
@@ -14,6 +16,13 @@ from repro.experiments.base import (
 
 #: Fast scale for the table fixture (the run() floor is 4.0).
 SCALE = 8.0
+
+#: sha256 of ``render_table`` of the quick table at seed 42, SCALE.
+#: Freezes every cell the multi-process engine produces: a change to
+#: the schedule, the replay semantics or the accounting shows here.
+QUICK_TABLE_DIGEST = (
+    "299536416d6aa12af03fc1938eb851658f6df917bd5e27e813999090c111d90a"
+)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +76,10 @@ class TestTable:
         joined = " ".join(quick_table.notes)
         assert "equal total capacity" in joined
         assert "shared-persistent compiles" in joined
+
+    def test_rendered_table_digest_is_frozen(self, quick_table):
+        rendered = render_table(quick_table).encode("utf-8")
+        assert hashlib.sha256(rendered).hexdigest() == QUICK_TABLE_DIGEST
 
     def test_provenance_attached(self, quick_table):
         assert quick_table.seed == 42

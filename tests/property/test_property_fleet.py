@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.shared.fleet import ProcessStream, stream_segments
-from repro.sim.interleave import interleave_logs
+from tests.shared.oracle import interleave_logs
 from tests.sim.test_interleave import _log
 
 

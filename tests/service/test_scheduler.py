@@ -63,6 +63,15 @@ def crashy_worker(slot: int, tasks, events) -> None:
     os._exit(17)
 
 
+def rejecting_worker(slot: int, tasks, events) -> None:
+    """Fails every job with a (never retried) configuration error."""
+    while True:
+        item = tasks.get()
+        if item is None:
+            return
+        events.put(("failed", item[0], "ConfigError: rejected"))
+
+
 def flaky_worker(slot: int, tasks, events) -> None:
     """Crashes until the marker file exists, then echoes."""
     marker = os.environ["REPRO_TEST_FLAKY_MARKER"]
@@ -291,6 +300,38 @@ class TestCompletedRetention:
             ]
             # The bound holds; the newest terminal record survives.
             assert len(survivors) == 1
+
+    def test_evicted_done_job_is_answered_from_the_store(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        with Scheduler(
+            workers=1,
+            store=store,
+            worker_target=echo_worker,
+            completed_retention=1,
+        ) as scheduler:
+            first = scheduler.submit(_spec(0))
+            assert scheduler.wait([first.job_id], timeout=30)
+            scheduler.submit(_spec(1))
+            assert scheduler.drain(timeout=30)
+            status = scheduler.status_dict(first.job_id)
+            assert (status["state"], status["cached"]) == (DONE, True)
+            assert scheduler.result(first.job_id)["echo"] == "figure-1"
+            with pytest.raises(JobNotFoundError):
+                scheduler.status(job_id(_spec(2)))
+
+    def test_evicted_failed_job_stays_unknown(self, tmp_path):
+        with Scheduler(
+            workers=1,
+            store=ResultStore(tmp_path / "store"),
+            worker_target=rejecting_worker,
+            completed_retention=1,
+        ) as scheduler:
+            first = scheduler.submit(_spec(0))
+            assert scheduler.wait([first.job_id], timeout=30)
+            scheduler.submit(_spec(1))
+            assert scheduler.drain(timeout=30)
+            with pytest.raises(JobNotFoundError):
+                scheduler.status(first.job_id)
 
     def test_unbounded_by_default(self):
         with Scheduler(workers=1, worker_target=echo_worker) as scheduler:

@@ -1,100 +1,141 @@
-"""Multi-process replay against one cache group.
+"""The per-record multi-process reference engine (test oracle).
 
-The :class:`MultiProcessSimulator` is the cross-process analogue of
-:class:`repro.cachesim.simulator.CacheSimulator`: it replays N
-per-process trace logs, interleaved by a deterministic schedule
-(:mod:`repro.sim.interleave`), against one
-:class:`~repro.shared.manager.SharedCacheGroup`, and owns the
-:class:`~repro.shared.identity.TraceInterner` that gives structurally
-identical traces from different processes one global identity.
+Production replays every shared-cache cell through
+:class:`repro.shared.fleet.FleetSimulator`.  This module keeps the
+straightforward engine the fleet engine was derived from, so its
+schedules and results can be checked against an independent
+implementation:
 
-Accounting follows the single-process simulator's conventions —
-creations are compulsory (not misses), a conflict miss regenerates and
-reinserts, ``repeat`` expands to one maybe-miss plus hits — with one
-cross-process addition: a (re)generation that finds its content already
-resident in a shared cache is a **deduplicated generation**.  It costs
-no code bytes (``dedup_bytes`` instead of ``generated_bytes``), which
-is exactly the compilation ShareJIT avoids.
+* :func:`interleave_logs` merges N per-process logs into one scheduled
+  stream, yielding one :class:`ScheduledRecord` per log record with its
+  monotone global virtual time;
+* :class:`MultiProcessSimulator` replays that stream record by record
+  against one :class:`~repro.shared.manager.SharedCacheGroup`, with
+  eager per-process logs and per-process created-trace tables;
+* :func:`reference_cell` computes one shared-experiment cell on this
+  engine, for comparison with
+  :func:`repro.experiments.shared.simulate_mix`.
+
+Without churn the two engines must agree exactly: the same schedule
+(same alive-list round-robin, same ``sim.interleave`` substream, one
+draw per turn) and the same
+:class:`~repro.shared.fleet.SharedSimulationResult`, field for field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from repro.cachesim.stats import CacheStats
+from repro.core.config import GenerationalConfig
 from repro.core.effects import Effect, Evicted, EvictionReason, Promoted
 from repro.errors import ConfigError, LogFormatError
-from repro.shared.compose import ProcessWorkload
+from repro.experiments.evaluation import baseline_capacity
+from repro.experiments.shared import mix_benchmarks
+from repro.rand import substream
+from repro.shared.compose import ProcessWorkload, build_process_workloads
+from repro.shared.fleet import (
+    DEFAULT_QUANTUM,
+    SCHEDULES,
+    ProcessSummary,
+    SharedSimulationResult,
+)
 from repro.shared.identity import TraceInterner
-from repro.shared.manager import SharedCacheGroup
-from repro.sim.interleave import DEFAULT_QUANTUM, interleave_logs
+from repro.shared.manager import SharedCacheGroup, make_group
+from repro.shared.policy import sharing_config_for
 from repro.tracelog.records import (
     EndOfLog,
+    LogRecord,
     ModuleUnmap,
     TraceAccess,
     TraceCreate,
+    TraceLog,
     TracePin,
     TraceUnpin,
 )
 
 
-@dataclass
-class ProcessSummary:
-    """One process's outcome of a multi-process replay."""
+@dataclass(frozen=True)
+class ScheduledRecord:
+    """One log record attributed to its process under a schedule.
+
+    Attributes:
+        process: Index of the process the record belongs to.
+        record: The original log record (untouched).
+        global_time: Monotone interleaved virtual time at which the
+            record executes.
+    """
 
     process: int
-    name: str
-    stats: CacheStats
-    generated_bytes: int = 0
-    dedup_generations: int = 0
-    dedup_bytes: int = 0
+    record: LogRecord
+    global_time: int
 
 
-@dataclass
-class SharedSimulationResult:
-    """Outcome of one multi-process replay."""
+def interleave_logs(
+    logs: Sequence[TraceLog],
+    schedule: str = "round-robin",
+    seed: int = 0,
+    quantum: int = DEFAULT_QUANTUM,
+) -> Iterator[ScheduledRecord]:
+    """Merge N logs into one deterministic scheduled stream.
 
-    group_name: str
-    schedule: str
-    seed: int
-    quantum: int
-    total_capacity: int
-    processes: list[ProcessSummary] = field(default_factory=list)
-    resident_bytes: int = 0
-    duplicated_bytes: int = 0
-    unique_content_bytes: int = 0
+    Every record of every log appears exactly once, in per-process
+    order; only the interleaving between processes varies with
+    *schedule*.
 
-    @property
-    def accesses(self) -> int:
-        return sum(p.stats.accesses for p in self.processes)
+    Args:
+        logs: One log per process (index = process id).
+        schedule: One of :data:`repro.shared.fleet.SCHEDULES`.
+        seed: Substream seed for the ``random`` schedule.
+        quantum: Records consumed per turn before rescheduling.
 
-    @property
-    def hits(self) -> int:
-        return sum(p.stats.hits for p in self.processes)
+    Raises:
+        ConfigError: for an unknown schedule, an empty log list, or a
+            non-positive quantum.
+    """
+    if schedule not in SCHEDULES:
+        raise ConfigError(
+            f"unknown schedule {schedule!r}; choose from {', '.join(SCHEDULES)}"
+        )
+    if not logs:
+        raise ConfigError("interleaving needs at least one log")
+    if quantum < 1:
+        raise ConfigError(f"quantum must be >= 1, got {quantum}")
+    positions = [0] * len(logs)
+    last_time = [0] * len(logs)
+    global_time = 0
+    remaining = [len(log.records) for log in logs]
+    rng = substream(seed, "sim.interleave") if schedule == "random" else None
 
-    @property
-    def misses(self) -> int:
-        return sum(p.stats.misses for p in self.processes)
-
-    @property
-    def miss_rate(self) -> float:
-        """Aggregate conflict-miss rate over all processes."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    @property
-    def generated_bytes(self) -> int:
-        """Total bytes of code actually compiled (dedup excluded)."""
-        return sum(p.generated_bytes for p in self.processes)
-
-    @property
-    def dedup_generations(self) -> int:
-        """(Re)generations satisfied by an already-shared copy."""
-        return sum(p.dedup_generations for p in self.processes)
-
-    @property
-    def dedup_bytes(self) -> int:
-        """Compilation bytes avoided through sharing."""
-        return sum(p.dedup_bytes for p in self.processes)
+    # The alive list is maintained incrementally: a process is removed
+    # the moment its log drains, so each scheduling turn costs O(1)
+    # amortized instead of an O(P) rescan.  Removal keeps the list in
+    # process order, which preserves the original schedule exactly
+    # (round-robin indexes `alive[turn % len(alive)]`, and the random
+    # draw consumes one rng value per turn either way).
+    alive = [idx for idx, left in enumerate(remaining) if left > 0]
+    turn = 0
+    while alive:
+        if rng is not None:
+            slot = rng.randrange(len(alive))
+        else:
+            slot = turn % len(alive)
+            turn += 1
+        process = alive[slot]
+        log = logs[process]
+        for _ in range(min(quantum, remaining[process])):
+            record = log.records[positions[process]]
+            positions[process] += 1
+            remaining[process] -= 1
+            delta = max(0, record.time - last_time[process])
+            last_time[process] = record.time
+            global_time += delta
+            yield ScheduledRecord(
+                process=process, record=record, global_time=global_time
+            )
+        if not remaining[process]:
+            del alive[slot]
 
 
 @dataclass
@@ -301,3 +342,48 @@ class MultiProcessSimulator:
             elif isinstance(effect, Promoted):
                 stats.promotions += 1
                 stats.promoted_bytes += effect.size
+
+
+def reference_cell(
+    mix: str,
+    processes: int,
+    policy: str,
+    seed: int = 42,
+    scale_multiplier: float = 1.0,
+    schedule: str = "round-robin",
+    quantum: int = DEFAULT_QUANTUM,
+) -> dict[str, object]:
+    """One (mix, process count, policy) cell of the shared table,
+    replayed on the oracle engine; the same dict
+    :func:`repro.experiments.shared.simulate_mix` returns."""
+    workloads = build_process_workloads(
+        mix_benchmarks(mix, processes),
+        seed=seed,
+        scale_multiplier=scale_multiplier,
+    )
+    capacities = tuple(
+        baseline_capacity(w.log.total_trace_bytes) for w in workloads
+    )
+    group = make_group(
+        capacities, GenerationalConfig(), sharing_config_for(policy)
+    )
+    outcome = MultiProcessSimulator(
+        group, workloads, schedule=schedule, seed=seed, quantum=quantum
+    ).run()
+    return {
+        "mix": mix,
+        "processes": processes,
+        "policy": policy,
+        "schedule": schedule,
+        "quantum": quantum,
+        "seed": seed,
+        "total_capacity": outcome.total_capacity,
+        "accesses": outcome.accesses,
+        "miss_rate": outcome.miss_rate,
+        "generated_bytes": outcome.generated_bytes,
+        "dedup_generations": outcome.dedup_generations,
+        "dedup_bytes": outcome.dedup_bytes,
+        "resident_bytes": outcome.resident_bytes,
+        "duplicated_bytes": outcome.duplicated_bytes,
+        "unique_content_bytes": outcome.unique_content_bytes,
+    }

@@ -1,4 +1,4 @@
-"""Fleet stack: scheduler semantics, lazy workloads, engine byte-compat."""
+"""Fleet stack: scheduler semantics, lazy workloads, oracle byte-compat."""
 
 from __future__ import annotations
 
@@ -8,20 +8,21 @@ from repro.errors import ConfigError
 from repro.experiments.shared import simulate_mix
 from repro.shared.compose import LIBRARY_CATALOG, zipf_reaches
 from repro.shared.fleet import (
+    SCHEDULES,
     FleetWorkloads,
     ProcessStream,
     churn_plan,
     stream_segments,
 )
 from repro.shared.policy import POLICY_VARIANTS
-from repro.sim.interleave import SCHEDULES
+from tests.shared.oracle import reference_cell
 from tests.sim.test_interleave import (
     GOLDEN_SCHEDULE_DIGESTS,
     golden_logs,
     schedule_digest,
 )
 
-#: Fast scale for engine-equivalence replays.
+#: Fast scale for oracle-equivalence replays.
 SCALE = 128.0
 
 
@@ -35,8 +36,8 @@ def expand(streams, **kwargs):
 
 
 class TestSchedulerGolden:
-    """The fleet scheduler must reproduce the frozen reference schedule
-    when churn and weights are off (the P <= 8 anchor)."""
+    """The fleet scheduler must reproduce the frozen oracle schedule
+    when churn is off (the P <= 8 anchor)."""
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_matches_reference_digest(self, schedule):
@@ -45,7 +46,7 @@ class TestSchedulerGolden:
 
         def scheduled():
             # Recompute (process, global_time) pairs exactly as the
-            # reference interleaver defines them.
+            # oracle interleaver defines them.
             last_time = [0] * len(logs)
             global_time = 0
             for process, index in expand(
@@ -102,36 +103,11 @@ class TestSchedulerSemantics:
         pairs = expand(streams, schedule="round-robin", quantum=4)
         assert [i for _, i in pairs] == list(range(10))
 
-    def test_weighted_draw_skews_schedule(self):
-        streams = [ProcessStream(400), ProcessStream(400)]
-        heavy = expand(
-            streams, schedule="random", seed=5, quantum=4, weights=[99.0, 1.0]
-        )
-        first = [p for p, _ in heavy[:200]]
-        assert first.count(0) > 150  # the heavy process dominates early
-
-    def test_weighted_schedule_complete(self):
-        streams = [
-            ProcessStream(33, limit=20),
-            ProcessStream(47, spawn_turn=3),
-            ProcessStream(21),
-        ]
-        pairs = expand(
-            streams, schedule="random", seed=5, quantum=4,
-            weights=[1.0, 10.0, 0.5],
-        )
-        assert [i for p, i in pairs if p == 0] == list(range(20))
-        assert [i for p, i in pairs if p == 1] == list(range(47))
-        assert [i for p, i in pairs if p == 2] == list(range(21))
-
     @pytest.mark.parametrize(
         ("kwargs", "match"),
         [
             (dict(schedule="fifo"), "schedule"),
             (dict(quantum=0), "quantum"),
-            (dict(schedule="round-robin", weights=[1.0, 1.0]), "weights"),
-            (dict(schedule="random", weights=[1.0]), "weights"),
-            (dict(schedule="random", weights=[1.0, 0.0]), "weight"),
         ],
     )
     def test_bad_arguments_rejected(self, kwargs, match):
@@ -219,15 +195,15 @@ class TestChurnPlan:
 
 
 class TestEngineEquivalence:
-    """The fleet engine must reproduce the reference simulator's cell
-    dicts byte-for-byte on the paper-scale tables."""
+    """The production cell (fleet engine) must reproduce the per-record
+    oracle's cell dicts byte-for-byte on the paper-scale tables."""
 
     @pytest.mark.parametrize("mix", ["homogeneous", "heterogeneous"])
     @pytest.mark.parametrize("processes", [2, 4, 8])
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_cells_identical_across_engines(self, mix, processes, schedule):
         for policy in POLICY_VARIANTS:
-            legacy = simulate_mix(
+            oracle = reference_cell(
                 mix,
                 processes,
                 policy,
@@ -240,13 +216,5 @@ class TestEngineEquivalence:
                 policy,
                 scale_multiplier=SCALE,
                 schedule=schedule,
-                engine="fleet",
             )
-            assert legacy == fleet
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError, match="engine"):
-            simulate_mix(
-                "homogeneous", 2, "private", scale_multiplier=SCALE,
-                engine="turbo",
-            )
+            assert oracle == fleet

@@ -1,4 +1,9 @@
-"""Multi-process replay: accounting, dedup, and composition."""
+"""Multi-process replay: accounting, dedup, and composition.
+
+Every replay case runs on both engines: the production
+:class:`~repro.shared.fleet.FleetSimulator` and the per-record oracle
+it is pinned against.
+"""
 
 from __future__ import annotations
 
@@ -13,9 +18,9 @@ from repro.shared.compose import (
     compose_with_library,
     workload_keys,
 )
+from repro.shared.fleet import FleetSimulator, FleetWorkloads
 from repro.shared.manager import make_group
 from repro.shared.policy import sharing_config_for
-from repro.shared.simulator import MultiProcessSimulator
 from repro.tracelog.records import (
     EndOfLog,
     ModuleUnmap,
@@ -23,6 +28,7 @@ from repro.tracelog.records import (
     TraceCreate,
     TraceLog,
 )
+from tests.shared.oracle import MultiProcessSimulator
 
 CONFIG = GenerationalConfig()
 
@@ -51,90 +57,115 @@ def _workload(name: str, namespace: str | None = None) -> ProcessWorkload:
     )
 
 
-def _run(policy: str, workloads: list[ProcessWorkload], **kwargs):
-    capacities = tuple(1000 for _ in workloads)
-    group = make_group(capacities, CONFIG, sharing_config_for(policy))
-    return MultiProcessSimulator(group, workloads, **kwargs).run()
+def _fleet(group, workloads: list[ProcessWorkload], **kwargs):
+    return FleetSimulator(
+        group, FleetWorkloads.from_process_workloads(workloads), **kwargs
+    )
+
+
+#: Both multi-process engines, built from the same arguments.
+ENGINES = (MultiProcessSimulator, _fleet)
+
+
+def _runs(policy: str, workloads: list[ProcessWorkload], **kwargs):
+    """The result of replaying *workloads* on each engine in turn."""
+    results = []
+    for engine in ENGINES:
+        capacities = tuple(1000 for _ in workloads)
+        group = make_group(capacities, CONFIG, sharing_config_for(policy))
+        results.append(engine(group, workloads, **kwargs).run())
+    return results
 
 
 class TestAccounting:
     def test_stats_invariants_hold(self):
-        result = _run("private", [_workload("a"), _workload("b", "other")])
-        for summary in result.processes:
-            assert summary.stats.accesses == (
-                summary.stats.hits + summary.stats.misses
-            )
-            assert summary.stats.creations == 3
-            assert summary.stats.accesses == 7
+        for result in _runs("private", [_workload("a"), _workload("b", "other")]):
+            for summary in result.processes:
+                assert summary.stats.accesses == (
+                    summary.stats.hits + summary.stats.misses
+                )
+                assert summary.stats.creations == 3
+                assert summary.stats.accesses == 7
 
     def test_private_never_dedups(self):
-        result = _run("private", [_workload("a"), _workload("a")])
-        assert result.dedup_generations == 0
-        assert result.dedup_bytes == 0
-        assert result.generated_bytes == 2 * 300
+        for result in _runs("private", [_workload("a"), _workload("a")]):
+            assert result.dedup_generations == 0
+            assert result.dedup_bytes == 0
+            assert result.generated_bytes == 2 * 300
 
     def test_shared_all_dedups_identical_processes(self):
         # Same binary twice: the second process's creations find every
         # content already resident.
-        result = _run("shared-all", [_workload("a"), _workload("a")])
-        assert result.dedup_generations > 0
-        assert result.generated_bytes + result.dedup_bytes == 2 * 300
-        assert result.duplicated_bytes == 0
+        for result in _runs("shared-all", [_workload("a"), _workload("a")]):
+            assert result.dedup_generations > 0
+            assert result.generated_bytes + result.dedup_bytes == 2 * 300
+            assert result.duplicated_bytes == 0
 
     def test_distinct_content_never_dedups(self):
-        result = _run("shared-all", [_workload("a"), _workload("b", "other")])
-        assert result.dedup_generations == 0
+        for result in _runs(
+            "shared-all", [_workload("a"), _workload("b", "other")]
+        ):
+            assert result.dedup_generations == 0
 
     def test_aggregate_properties_sum_processes(self):
-        result = _run("shared-all", [_workload("a"), _workload("a")])
-        assert result.accesses == sum(
-            p.stats.accesses for p in result.processes
-        )
-        assert result.misses == sum(p.stats.misses for p in result.processes)
-        assert 0.0 <= result.miss_rate <= 1.0
+        for result in _runs("shared-all", [_workload("a"), _workload("a")]):
+            assert result.accesses == sum(
+                p.stats.accesses for p in result.processes
+            )
+            assert result.misses == sum(
+                p.stats.misses for p in result.processes
+            )
+            assert 0.0 <= result.miss_rate <= 1.0
 
     def test_unmap_is_per_process_under_sharing(self):
         # Process 0's unmap of module 1 must not invalidate process 1's
         # later access to its own module-1 trace.
-        result = _run("shared-all", [_workload("a"), _workload("a")])
-        for summary in result.processes:
-            summary.stats.check_invariants()
+        for result in _runs("shared-all", [_workload("a"), _workload("a")]):
+            for summary in result.processes:
+                summary.stats.check_invariants()
 
 
 class TestValidation:
     def test_workload_count_must_match_group(self):
         group = make_group((1000, 1000), CONFIG, sharing_config_for("private"))
-        with pytest.raises(ConfigError, match="workloads"):
-            MultiProcessSimulator(group, [_workload("a")])
+        for engine, match in zip(ENGINES, ("workloads", "the fleet has 1")):
+            with pytest.raises(ConfigError, match=match):
+                engine(group, [_workload("a")])
 
     def test_missing_content_key_is_a_log_error(self):
-        workload = _workload("a")
-        workload.keys.pop(1)
-        group = make_group((1000,), CONFIG, sharing_config_for("private"))
-        with pytest.raises(LogFormatError, match="content key"):
-            MultiProcessSimulator(group, [workload]).run()
+        for engine in ENGINES:
+            workload = _workload("a")
+            workload.keys.pop(1)
+            group = make_group((1000,), CONFIG, sharing_config_for("private"))
+            with pytest.raises(LogFormatError, match="content key"):
+                engine(group, [workload]).run()
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("schedule", ["round-robin", "random"])
     def test_repeated_runs_identical(self, schedule):
         def once():
-            result = _run(
-                "shared-persistent",
-                [_workload("a"), _workload("a")],
-                schedule=schedule,
-                seed=7,
-            )
-            return (
-                result.accesses,
-                result.misses,
-                result.generated_bytes,
-                result.dedup_bytes,
-                result.resident_bytes,
-                [(p.stats.hits, p.stats.misses) for p in result.processes],
-            )
+            return [
+                (
+                    result.accesses,
+                    result.misses,
+                    result.generated_bytes,
+                    result.dedup_bytes,
+                    result.resident_bytes,
+                    [(p.stats.hits, p.stats.misses) for p in result.processes],
+                )
+                for result in _runs(
+                    "shared-persistent",
+                    [_workload("a"), _workload("a")],
+                    schedule=schedule,
+                    seed=7,
+                )
+            ]
 
-        assert once() == once()
+        first = once()
+        assert first == once()
+        # The engines agree with each other, not only with themselves.
+        assert first[0] == first[1]
 
 
 class TestComposition:

@@ -1,4 +1,9 @@
-"""Deterministic multi-process log interleaving."""
+"""Deterministic multi-process log interleaving (the per-record oracle).
+
+The golden digests here freeze the schedule semantics every
+multi-process table depends on; the fleet scheduler's tests check
+that the production interleaver reproduces the same streams.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +12,9 @@ import hashlib
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.interleave import DEFAULT_QUANTUM, SCHEDULES, interleave_logs
+from repro.shared.fleet import DEFAULT_QUANTUM, SCHEDULES
 from repro.tracelog.records import EndOfLog, TraceAccess, TraceCreate, TraceLog
+from tests.shared.oracle import interleave_logs
 
 
 def _log(name: str, n_records: int, stride: int = 10) -> TraceLog:
