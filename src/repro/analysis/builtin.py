@@ -10,6 +10,7 @@ examples of every rule.
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass, field
 
 from repro.analysis.core import FileContext, Rule, Severity, register
 from repro.units import KB, MB
@@ -110,96 +111,236 @@ class NoNondeterminismRule(Rule):
             )
 
 
-@register
-class NoRawConcurrencyRule(Rule):
-    """Concurrency primitives stay inside :mod:`repro.service`; a lock
-    or worker pool anywhere else makes replay results depend on
-    interleaving and breaks the determinism contract."""
+@dataclass(frozen=True)
+class Boundary:
+    """One package's private surface: what code outside it may not
+    import or construct.
 
-    rule_id = "no-raw-concurrency"
-    description = (
-        "threading/multiprocessing/queue/concurrent/asyncio imports are "
-        "confined to repro.service and repro.cluster; the simulation "
-        "core stays single-threaded"
-    )
-    severity = Severity.ERROR
-    exempt_paths = ("*repro/service/*", "*repro/cluster/*")
+    Each mapping goes from the forbidden thing to the advice its report
+    ends with.  Reports read ``"import of <subject> outside <owner>;
+    <advice>"`` (``import from`` for a ``from`` import) and ``"direct
+    <class> construction outside <owner>; <advice>"``.  Per import, the
+    first match in the order roots, modules, names is reported.
 
-    def visit_Import(self, ctx: FileContext, node: ast.Import) -> None:
-        for alias in node.names:
-            root = alias.name.split(".")[0]
-            if root in CONCURRENCY_MODULES:
-                ctx.report(
-                    self,
-                    node,
-                    f"import of concurrency module {alias.name!r} outside "
-                    "repro.service; dispatch through the service layer",
-                )
+    Attributes:
+        rule_id: The rule's id.
+        description: The rule's one-line description.
+        owner: The package the surface belongs to, as the reports name it.
+        exempt_paths: Files the rule never checks (the owner's own).
+        roots: Top-level modules, matched on an import's first component.
+        root_subject: How a root import is named in reports: ``{name}``
+            is the imported module (its root for a ``from`` import),
+            ``{root}`` its first component.
+        modules: Modules matched on their full dotted name.
+        names: Names imported ``from`` any ``repro.*`` module.
+        constructors: Classes whose direct call is reported.
+    """
 
-    def visit_ImportFrom(self, ctx: FileContext, node: ast.ImportFrom) -> None:
-        root = (node.module or "").split(".")[0]
-        if node.level == 0 and root in CONCURRENCY_MODULES:
-            ctx.report(
-                self,
-                node,
-                f"import from concurrency module {root!r} outside "
-                "repro.service; dispatch through the service layer",
+    rule_id: str
+    description: str
+    owner: str
+    exempt_paths: tuple[str, ...]
+    roots: dict[str, str] = field(default_factory=dict)
+    root_subject: str = "{root}"
+    modules: dict[str, str] = field(default_factory=dict)
+    names: dict[str, str] = field(default_factory=dict)
+    constructors: dict[str, str] = field(default_factory=dict)
+
+
+BOUNDARIES = (
+    # The simulation core is single-threaded by design: a lock or worker
+    # pool outside the service layer makes replay results depend on
+    # interleaving and breaks the determinism contract.
+    Boundary(
+        rule_id="no-raw-concurrency",
+        description=(
+            "threading/multiprocessing/queue/concurrent/asyncio imports "
+            "are confined to repro.service and repro.cluster; the "
+            "simulation core stays single-threaded"
+        ),
+        owner="repro.service",
+        exempt_paths=("*repro/service/*", "*repro/cluster/*"),
+        roots=dict.fromkeys(
+            CONCURRENCY_MODULES, "dispatch through the service layer"
+        ),
+        root_subject="concurrency module {name!r}",
+    ),
+    # The event-loop seam stays in the cluster front end (tightening the
+    # row above, which also admits asyncio in repro.service); other
+    # layers consume events through the streaming HTTP API or scheduler
+    # listeners, never by publishing onto someone else's loop.
+    Boundary(
+        rule_id="cluster-api",
+        description=(
+            "asyncio imports and repro.cluster.events internals are "
+            "confined to repro.cluster; other layers use the streaming "
+            "HTTP API"
+        ),
+        owner="repro.cluster",
+        exempt_paths=("*repro/cluster/*",),
+        roots={
+            "asyncio": "the event loop lives in the cluster front end only"
+        },
+        modules={
+            "repro.cluster.events": "consume events via the streaming HTTP API"
+        },
+    ),
+    # SharedPersistentCache mutators skip the group manager's attachment
+    # and pin-claim bookkeeping, so a write from any other layer can
+    # strand a process on evicted shared code.
+    Boundary(
+        rule_id="shared-cache-api",
+        description=(
+            "SharedPersistentCache construction/mutation is confined to "
+            "repro.shared; other layers go through the cache group manager"
+        ),
+        owner="repro.shared",
+        exempt_paths=("*repro/shared/*",),
+        modules={
+            "repro.shared.cache": "drive the shared cache through make_group"
+        },
+        names={
+            "SharedPersistentCache": (
+                "drive the shared cache through make_group"
             )
+        },
+        constructors={"SharedPersistentCache": "use make_group"},
+    ),
+    # Replay correctness depends on every column writer keeping the
+    # packed arrays in lockstep, so other layers use the package root
+    # (compile_log, ensure_compiled, the row iterators).  binary.py
+    # decodes straight into packed columns (the sanctioned
+    # serialization fast path), so it may construct the class.
+    Boundary(
+        rule_id="fastpath-api",
+        description=(
+            "repro.fastpath.compiled/replay imports and direct "
+            "CompiledTraceLog construction are confined to repro.fastpath; "
+            "other layers use the package-root API"
+        ),
+        owner="repro.fastpath",
+        exempt_paths=("*repro/fastpath/*", "*repro/tracelog/binary.py"),
+        modules=dict.fromkeys(
+            ("repro.fastpath.compiled", "repro.fastpath.replay"),
+            "use the repro.fastpath package-root API",
+        ),
+        constructors={
+            "CompiledTraceLog": "use compile_log/ensure_compiled"
+        },
+    ),
+    # The fleet scheduler's segment accounting, the distinct-workload
+    # cursor sharing and the columnar replay loop are one coupled
+    # mechanism whose equivalence to the per-record test oracle is
+    # regression-pinned; other layers use the package root
+    # (FleetWorkloads, FleetSimulator, stream_segments, churn_plan).
+    Boundary(
+        rule_id="fleet-api",
+        description=(
+            "repro.shared.fleet.scheduler/workloads/simulator imports and "
+            "direct DistinctWorkload construction are confined to "
+            "repro.shared.fleet; other layers use the package-root API"
+        ),
+        owner="repro.shared.fleet",
+        exempt_paths=("*repro/shared/fleet/*",),
+        modules=dict.fromkeys(
+            (
+                "repro.shared.fleet.scheduler",
+                "repro.shared.fleet.workloads",
+                "repro.shared.fleet.simulator",
+            ),
+            "use the repro.shared.fleet package-root API",
+        ),
+        constructors={
+            "DistinctWorkload": (
+                "use FleetWorkloads.from_specs or "
+                "FleetWorkloads.from_process_workloads"
+            )
+        },
+    ),
+)
 
 
-@register
-class ClusterApiRule(Rule):
-    """The event-loop seam stays inside :mod:`repro.cluster`: ``asyncio``
-    is confined there (tightening ``no-raw-concurrency``, which also
-    admits it in :mod:`repro.service`), and the
-    :class:`~repro.cluster.events.EventBus` thread→loop bridge may only
-    be constructed by cluster code — other layers consume events through
-    the streaming HTTP API or scheduler listeners, never by publishing
-    onto someone else's loop."""
+class BoundaryRule(Rule):
+    """Reports imports and constructions that reach into another
+    package's private surface.  Each row of :data:`BOUNDARIES` is
+    registered as its own subclass, so every row keeps its own rule id,
+    exempt paths and suppressions."""
 
-    rule_id = "cluster-api"
-    description = (
-        "asyncio imports and repro.cluster.events internals are confined "
-        "to repro.cluster; other layers use the streaming HTTP API"
-    )
+    boundary: Boundary
     severity = Severity.ERROR
-    exempt_paths = ("*repro/cluster/*",)
 
     def visit_Import(self, ctx: FileContext, node: ast.Import) -> None:
         for alias in node.names:
-            if alias.name.split(".")[0] == "asyncio":
-                ctx.report(
-                    self,
-                    node,
-                    "import of asyncio outside repro.cluster; the event "
-                    "loop lives in the cluster front end only",
-                )
-            elif alias.name == "repro.cluster.events":
-                ctx.report(
-                    self,
-                    node,
-                    "import of repro.cluster.events outside repro.cluster; "
-                    "consume events via the streaming HTTP API",
-                )
+            self._check_module(ctx, node, "import of", alias.name, alias.name)
 
     def visit_ImportFrom(self, ctx: FileContext, node: ast.ImportFrom) -> None:
         if node.level != 0:
             return
         module = node.module or ""
-        if module.split(".")[0] == "asyncio":
-            ctx.report(
-                self,
-                node,
-                "import from asyncio outside repro.cluster; the event "
-                "loop lives in the cluster front end only",
-            )
-        elif module == "repro.cluster.events":
-            ctx.report(
-                self,
-                node,
-                "import from repro.cluster.events outside repro.cluster; "
-                "consume events via the streaming HTTP API",
-            )
+        root = module.split(".")[0]
+        if self._check_module(ctx, node, "import from", module, root):
+            return
+        if module.startswith("repro."):
+            for alias in node.names:
+                advice = self.boundary.names.get(alias.name)
+                if advice is not None:
+                    self._report(ctx, node, f"import of {alias.name}", advice)
+                    return
+
+    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        else:
+            return
+        advice = self.boundary.constructors.get(name)
+        if advice is not None:
+            self._report(ctx, node, f"direct {name} construction", advice)
+
+    def _check_module(
+        self,
+        ctx: FileContext,
+        node: ast.AST,
+        verb: str,
+        module: str,
+        shown: str,
+    ) -> bool:
+        """Report an import of *module* if it is private; *shown* is
+        the ``{name}`` a root match reports.  True when reported."""
+        boundary = self.boundary
+        root = module.split(".")[0]
+        if root in boundary.roots:
+            subject = boundary.root_subject.format(name=shown, root=root)
+            advice = boundary.roots[root]
+        elif module in boundary.modules:
+            subject, advice = module, boundary.modules[module]
+        else:
+            return False
+        self._report(ctx, node, f"{verb} {subject}", advice)
+        return True
+
+    def _report(
+        self, ctx: FileContext, node: ast.AST, what: str, advice: str
+    ) -> None:
+        ctx.report(self, node, f"{what} outside {self.boundary.owner}; {advice}")
+
+
+for _boundary in BOUNDARIES:
+    register(
+        type(
+            "".join(part.title() for part in _boundary.rule_id.split("-"))
+            + "Rule",
+            (BoundaryRule,),
+            {
+                "rule_id": _boundary.rule_id,
+                "description": _boundary.description,
+                "exempt_paths": _boundary.exempt_paths,
+                "boundary": _boundary,
+            },
+        )
+    )
 
 
 @register
@@ -288,190 +429,6 @@ class PolicyApiRule(Rule):
             ):
                 return True
         return False
-
-
-@register
-class SharedCacheApiRule(Rule):
-    """Direct :class:`~repro.shared.cache.SharedPersistentCache` use is
-    confined to :mod:`repro.shared`: its mutators skip the group
-    manager's attachment/pin-claim bookkeeping, so a write from any
-    other layer can strand a process on evicted shared code."""
-
-    rule_id = "shared-cache-api"
-    description = (
-        "SharedPersistentCache construction/mutation is confined to "
-        "repro.shared; other layers go through the cache group manager"
-    )
-    severity = Severity.ERROR
-    exempt_paths = ("*repro/shared/*",)
-
-    def visit_Import(self, ctx: FileContext, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name == "repro.shared.cache":
-                ctx.report(
-                    self,
-                    node,
-                    "import of repro.shared.cache outside repro.shared; "
-                    "drive the shared cache through make_group",
-                )
-
-    def visit_ImportFrom(self, ctx: FileContext, node: ast.ImportFrom) -> None:
-        if node.level != 0:
-            return
-        module = node.module or ""
-        imported = {alias.name for alias in node.names}
-        if module == "repro.shared.cache":
-            ctx.report(
-                self,
-                node,
-                "import from repro.shared.cache outside repro.shared; "
-                "drive the shared cache through make_group",
-            )
-        elif module.startswith("repro.") and "SharedPersistentCache" in imported:
-            ctx.report(
-                self,
-                node,
-                "import of SharedPersistentCache outside repro.shared; "
-                "drive the shared cache through make_group",
-            )
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name == "SharedPersistentCache":
-            ctx.report(
-                self,
-                node,
-                "direct SharedPersistentCache construction outside "
-                "repro.shared; use make_group",
-            )
-
-
-@register
-class FastpathApiRule(Rule):
-    """The packed-column internals of the replay fast path stay inside
-    :mod:`repro.fastpath` (plus the sanctioned RTL2 codec): replay
-    correctness depends on every column writer keeping the six arrays
-    in lockstep, so other layers go through the package root's public
-    surface (``compile_log``, ``ensure_compiled``, the row iterators)
-    and never build or pick apart a :class:`CompiledTraceLog` by
-    hand."""
-
-    rule_id = "fastpath-api"
-    description = (
-        "repro.fastpath.compiled/replay imports and direct "
-        "CompiledTraceLog construction are confined to repro.fastpath; "
-        "other layers use the package-root API"
-    )
-    severity = Severity.ERROR
-    # binary.py decodes straight into packed columns (the sanctioned
-    # serialization fast path), so it may construct the class.
-    exempt_paths = ("*repro/fastpath/*", "*repro/tracelog/binary.py")
-
-    _INTERNAL_MODULES = (
-        "repro.fastpath.compiled",
-        "repro.fastpath.replay",
-    )
-
-    def visit_Import(self, ctx: FileContext, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name in self._INTERNAL_MODULES:
-                ctx.report(
-                    self,
-                    node,
-                    f"import of {alias.name} outside repro.fastpath; "
-                    "use the repro.fastpath package-root API",
-                )
-
-    def visit_ImportFrom(self, ctx: FileContext, node: ast.ImportFrom) -> None:
-        if node.level == 0 and (node.module or "") in self._INTERNAL_MODULES:
-            ctx.report(
-                self,
-                node,
-                f"import from {node.module} outside repro.fastpath; "
-                "use the repro.fastpath package-root API",
-            )
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name == "CompiledTraceLog":
-            ctx.report(
-                self,
-                node,
-                "direct CompiledTraceLog construction outside "
-                "repro.fastpath; use compile_log/ensure_compiled",
-            )
-
-
-@register
-class FleetApiRule(Rule):
-    """The fleet simulation internals stay inside
-    :mod:`repro.shared.fleet`: the scheduler's segment accounting, the
-    distinct-workload cursor sharing, and the columnar replay loop are
-    one coupled mechanism whose equivalence to the per-record test
-    oracle is regression-pinned, so other layers consume the package root's
-    public surface (``FleetWorkloads``, ``FleetSimulator``,
-    ``stream_segments``, ``churn_plan``) and never assemble a
-    :class:`DistinctWorkload` by hand."""
-
-    rule_id = "fleet-api"
-    description = (
-        "repro.shared.fleet.scheduler/workloads/simulator imports and "
-        "direct DistinctWorkload construction are confined to "
-        "repro.shared.fleet; other layers use the package-root API"
-    )
-    severity = Severity.ERROR
-    exempt_paths = ("*repro/shared/fleet/*",)
-
-    _INTERNAL_MODULES = (
-        "repro.shared.fleet.scheduler",
-        "repro.shared.fleet.workloads",
-        "repro.shared.fleet.simulator",
-    )
-
-    def visit_Import(self, ctx: FileContext, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name in self._INTERNAL_MODULES:
-                ctx.report(
-                    self,
-                    node,
-                    f"import of {alias.name} outside repro.shared.fleet; "
-                    "use the repro.shared.fleet package-root API",
-                )
-
-    def visit_ImportFrom(self, ctx: FileContext, node: ast.ImportFrom) -> None:
-        if node.level == 0 and (node.module or "") in self._INTERNAL_MODULES:
-            ctx.report(
-                self,
-                node,
-                f"import from {node.module} outside repro.shared.fleet; "
-                "use the repro.shared.fleet package-root API",
-            )
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name == "DistinctWorkload":
-            ctx.report(
-                self,
-                node,
-                "direct DistinctWorkload construction outside "
-                "repro.shared.fleet; use FleetWorkloads.from_specs or "
-                "FleetWorkloads.from_process_workloads",
-            )
 
 
 @register

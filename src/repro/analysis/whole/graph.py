@@ -525,6 +525,8 @@ class CallGraph:
                 if isinstance(node.slice, ast.Tuple)
                 else [node.slice]
             )
+            if not args:
+                return None  # tuple[()]
             if base in ("Optional",):
                 return self.resolve_annotation(args[0], module)
             if base in ("list", "List", "set", "Set", "frozenset", "tuple",

@@ -1,18 +1,19 @@
 """Concurrency lockset checking for the service layer.
 
 The service runs three kinds of concurrent code against the same
-scheduler object: the HTTP request threads (``ThreadingHTTPServer``
-handler methods), the scheduler's own bookkeeping threads
-(``threading.Thread`` targets), and the worker processes
-(``multiprocessing`` targets).  State they share must be accessed under
-a consistent lock — CPython makes most single attribute reads atomic,
-but torn multi-field reads (metrics snapshots, job records mid-update)
-are real divergence bugs for a service whose payloads must be
-byte-identical.
+scheduler objects: the asyncio front end's connection handlers (whose
+blocking scheduler calls run on executor threads), the schedulers' own
+bookkeeping threads (``threading.Thread`` targets), and the worker
+processes (``multiprocessing`` targets).  State they share must be
+accessed under a consistent lock — CPython makes most single attribute
+reads atomic, but torn multi-field reads (metrics snapshots, job
+records mid-update) are real divergence bugs for a service whose
+payloads must be byte-identical.
 
 The pass:
 
-1. finds the *thread roots*: ``do_*`` methods on HTTP handler classes,
+1. finds the *thread roots*: ``do_*`` methods on HTTP handler classes
+   (stdlib-style request handlers anywhere in the analyzed program),
    every resolvable ``Thread(target=...)`` / ``Process(target=...)``
    argument (including targets picked from tuples, ``a or b``
    fallbacks, and function-valued attributes), ``worker_main``, and

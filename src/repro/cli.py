@@ -39,19 +39,12 @@ from repro.experiments.runner import (
     run_all,
 )
 from repro.experiments import sweep as sweep_module
-from repro.service.client import ServiceClient
+from repro.service.client import DEFAULT_HOST, DEFAULT_PORT, ServiceClient
 from repro.service.jobs import spec_from_dict
-from repro.service.http import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    make_server,
-    serve_until_signal,
-)
 from repro.service.scheduler import (
     DEFAULT_RETRIES,
     DEFAULT_TIMEOUT,
     TERMINAL_STATES,
-    Scheduler,
 )
 from repro.service.store import ResultStore
 from repro.service.workers import result_from_dict
@@ -65,8 +58,12 @@ from repro.workloads.synthesis import synthesize_log
 #: the REPRO_SERVER environment variable).
 DEFAULT_SERVER = f"http://{DEFAULT_HOST}:{DEFAULT_PORT}"
 
-#: Default on-disk result store for ``serve``.
+#: Default on-disk result store for ``serve`` and ``cluster-serve``.
 DEFAULT_STORE = os.path.join("~", ".cache", "repro-gencache", "results")
+
+#: Cluster-wide queue-depth shed watermark (``cluster-serve --watermark``;
+#: fixed for ``serve``).
+DEFAULT_WATERMARK = 256
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -425,33 +422,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    store = None
-    if args.store:
-        store = ResultStore(os.path.expanduser(args.store))
-    scheduler = Scheduler(
-        workers=args.jobs,
-        store=store,
-        timeout=args.timeout,
-        max_retries=args.retries,
-    )
-    server = make_server(scheduler, host=args.host, port=args.port)
-    host, port = server.server_address[:2]
-    with scheduler:
-        print(
-            f"repro-gencache service listening on http://{host}:{port} "
-            f"({args.jobs} worker(s)"
-            + (f", store {args.store})" if args.store else ", no store)"),
-            flush=True,
-        )
-        signum = serve_until_signal(server, grace=args.grace)
-        print(
-            f"signal {signum}: drained in-flight jobs, shutting down",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _cmd_cluster_serve(args: argparse.Namespace) -> int:
+    """``serve`` and ``cluster-serve``: run the cluster front end until
+    SIGTERM/SIGINT, then drain.  ``serve`` is the 1-shard case; its
+    parser fixes the shard count and the admission and retention
+    settings to the ``cluster-serve`` defaults."""
     # Imported lazily: the cluster layer (and asyncio) stays out of
     # every other verb.
     from repro.cluster import (
@@ -460,8 +434,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         EventBus,
         TieredResultStore,
     )
-    from repro.cluster.http import ClusterServer
-    from repro.cluster.http import serve_until_signal as cluster_serve_until
+    from repro.cluster.http import ClusterServer, serve_until_signal
 
     disk = ResultStore(os.path.expanduser(args.store)) if args.store else None
     retention_kwargs = (
@@ -489,7 +462,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         + (f", store {args.store})" if args.store else ", memory store)"),
         flush=True,
     )
-    signum = cluster_serve_until(server, grace=args.grace)
+    signum = serve_until_signal(server, grace=args.grace)
     print(
         f"signal {signum}: drained in-flight jobs, shutting down",
         file=sys.stderr,
@@ -836,13 +809,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--host", default=DEFAULT_HOST)
     serve_parser.add_argument("--port", type=int, default=DEFAULT_PORT)
     serve_parser.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
+        "--jobs", dest="workers_per_shard", type=int, default=2, metavar="N",
         help="worker process count (default: 2)",
     )
     serve_parser.add_argument(
         "--store", default=DEFAULT_STORE, metavar="DIR",
         help=f"result store directory (default: {DEFAULT_STORE}; "
-        "pass '' to disable memoization)",
+        "pass '' for a memory-only hot tier)",
     )
     serve_parser.add_argument(
         "--timeout", type=float, default=DEFAULT_TIMEOUT, metavar="SECS",
@@ -856,6 +829,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--grace", type=float, default=30.0, metavar="SECS",
         help="drain window after SIGTERM/SIGINT before hard shutdown "
         "(default: 30)",
+    )
+    # serve is cluster-serve over one shard, with its default watermark,
+    # rate and retention.
+    serve_parser.set_defaults(
+        shards=1, watermark=DEFAULT_WATERMARK, rate=None, retention=None
     )
 
     cluster_parser = sub.add_parser(
@@ -879,8 +857,9 @@ def build_parser() -> argparse.ArgumentParser:
         "pass '' for a memory-only hot tier)",
     )
     cluster_parser.add_argument(
-        "--watermark", type=int, default=256, metavar="N",
-        help="cluster-wide queue-depth shed watermark (default: 256)",
+        "--watermark", type=int, default=DEFAULT_WATERMARK, metavar="N",
+        help="cluster-wide queue-depth shed watermark "
+        f"(default: {DEFAULT_WATERMARK})",
     )
     cluster_parser.add_argument(
         "--rate", type=float, default=None, metavar="RPS",
@@ -1032,7 +1011,7 @@ def main(argv: list[str] | None = None) -> int:
         "calibrate": _cmd_calibrate,
         "fuzz": _cmd_fuzz,
         "serve": _cmd_serve,
-        "cluster-serve": _cmd_cluster_serve,
+        "cluster-serve": _cmd_serve,
         "loadgen": _cmd_loadgen,
         "submit": _cmd_submit,
         "status": _cmd_status,

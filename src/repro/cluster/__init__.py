@@ -1,10 +1,10 @@
 """Sharded cluster serving layer.
 
-Scales the single-node simulation service out to N independent
-scheduler shards behind consistent-hash routing, with streaming
-job-status subscriptions, bounded admission control, and a generational
-in-memory hot tier over the disk result store — the paper's cache
-hierarchy applied to the service's own result cache.
+Serves the simulation service from N independent scheduler shards
+(one for ``repro-gencache serve``) behind consistent-hash routing,
+with streaming job-status subscriptions, bounded admission control,
+and a generational in-memory hot tier over the disk result store — the
+paper's cache hierarchy applied to the service's own result cache.
 
 Layering (each module only reaches down):
 

@@ -1,9 +1,10 @@
-"""Asyncio HTTP front end for the sharded cluster.
+"""Asyncio HTTP front end of the simulation service.
 
 One asyncio event loop (running on a dedicated background thread, so
 the synchronous CLI and tests can start/stop the server) serves the
-same JSON API as :mod:`repro.service.http` plus streaming job-status
-subscriptions, against a :class:`~repro.cluster.shards.ClusterScheduler`:
+JSON API plus streaming job-status subscriptions against a
+:class:`~repro.cluster.shards.ClusterScheduler`.  ``repro-gencache
+serve`` runs it over one shard, ``cluster-serve`` over several.
 
 Endpoints::
 
@@ -17,11 +18,10 @@ Endpoints::
     GET  /metrics           per-shard queue depths, admission accept/
                             shed counters, tiered-store counters
 
-Failure semantics extend the single-node service: invalid specs are
-400, unknown ids 404, unfinished results 409, full shard queues 503 —
-and admission sheds are **429 with a Retry-After header**, the
-load-shedding contract the hardened client maps to
-:class:`~repro.errors.OverloadedError`.
+Failure semantics: invalid specs are 400, unknown ids 404, unfinished
+results 409, full shard queues 503 — and admission sheds are **429
+with a Retry-After header**, the load-shedding contract the hardened
+client maps to :class:`~repro.errors.OverloadedError`.
 
 The event stream is the thread→asyncio seam: shard collector threads
 publish terminal transitions to the :class:`~repro.cluster.events.EventBus`,
@@ -54,17 +54,15 @@ from repro.errors import (
     ServiceError,
     ShardError,
 )
+from repro.service.client import DEFAULT_HOST, DEFAULT_PORT
 from repro.service.jobs import spec_from_dict
 from repro.service.scheduler import DONE, TERMINAL_STATES
 from repro.units import KB, MB
 
-#: Hard cap on request bodies, matching the single-node front end.
+#: Hard cap on request bodies (inline logs included).
 MAX_BODY_BYTES = 64 * MB
 #: Request-line + header block cap for the stream reader.
 MAX_HEADER_BYTES = 64 * KB
-
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8360
 
 #: How long :func:`serve_until_signal` blocks between signal checks.
 _SIGNAL_POLL_SECONDS = 0.2
@@ -473,11 +471,10 @@ class ClusterServer:
 def serve_until_signal(server: ClusterServer, grace: float = 30.0) -> int:
     """Serve until SIGTERM/SIGINT, then drain the cluster gracefully.
 
-    Mirrors :func:`repro.service.http.serve_until_signal`: on the first
-    signal every shard stops admitting (new submissions get 503) while
-    the front end keeps answering status/result queries and event
-    streams, so accepted jobs finish — up to *grace* seconds — before
-    the listener closes and the shard pools shut down.
+    On the first signal every shard stops admitting (new submissions
+    get 503) while the front end keeps answering status/result queries
+    and event streams, so accepted jobs finish — up to *grace* seconds
+    — before the listener closes and the shard pools shut down.
 
     Returns the signal number received.  Must run on the main thread.
     """
@@ -506,16 +503,3 @@ def serve_until_signal(server: ClusterServer, grace: float = 30.0) -> int:
         server.stop(grace=grace)
         server.cluster.shutdown(grace=grace)
     return received["signum"]
-
-
-def make_cluster_server(
-    cluster: ClusterScheduler,
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-) -> ClusterServer:
-    """Bind-and-start convenience mirroring
-    :func:`repro.service.http.make_server`; the server is live (and
-    ``server.address`` resolved) when this returns."""
-    server = ClusterServer(cluster, host=host, port=port)
-    server.start()
-    return server

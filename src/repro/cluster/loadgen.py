@@ -175,7 +175,7 @@ def run_load(
     """Run the load phase against a live server; returns the bench doc.
 
     Args:
-        base_url: Server to drive (single-node or cluster front end).
+        base_url: Server to drive (``serve`` or ``cluster-serve``).
         clients: Concurrent synthetic client threads.
         requests: Submissions per client.
         population: Spec population (default: :func:`build_population`

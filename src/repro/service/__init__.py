@@ -4,8 +4,10 @@ Turns the one-shot simulator into a schedulable, cacheable, observable
 service: content-addressed jobs (:mod:`repro.service.jobs`), a
 multiprocessing scheduler with timeouts and retries
 (:mod:`repro.service.scheduler`), a disk result store
-(:mod:`repro.service.store`), an HTTP API (:mod:`repro.service.http`)
-and its client (:mod:`repro.service.client`).
+(:mod:`repro.service.store`) and the HTTP client
+(:mod:`repro.service.client`).  The HTTP front end is
+:mod:`repro.cluster.http`; ``repro-gencache serve`` runs it over a
+single scheduler shard.
 
 This package is also the repository's only sanctioned home for
 concurrency primitives — the ``no-raw-concurrency`` cachelint rule

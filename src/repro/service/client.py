@@ -33,6 +33,12 @@ from repro.errors import ConfigError, OverloadedError, ServiceError
 from repro.service.jobs import JobSpec
 from repro.service.scheduler import TERMINAL_STATES
 
+#: Where ``repro-gencache serve``/``cluster-serve`` listen by default
+#: (kept here, not beside the asyncio server, so the client verbs can
+#: name the default URL without importing the cluster layer).
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8350
+
 #: Extra attempts for idempotent GETs after a transient failure.
 DEFAULT_MAX_RETRIES = 3
 #: First retry delay in seconds; doubles per attempt.
@@ -45,14 +51,16 @@ _TRANSIENT = (ConnectionResetError, BrokenPipeError)
 
 
 class ServiceClient:
-    """Talk to one ``repro-gencache serve`` (or ``cluster-serve``)
-    instance over a persistent connection.
+    """Talk to one ``repro-gencache serve`` or ``cluster-serve``
+    instance (both run :mod:`repro.cluster.http`) over a persistent
+    connection.
 
     Args:
         base_url: e.g. ``"http://127.0.0.1:8350"``.
         timeout: Per-request socket timeout in seconds.
-        tenant: Admission tenant name sent as ``X-Tenant`` (cluster
-            servers only; single-node servers ignore it).
+        tenant: Admission tenant name sent as ``X-Tenant`` (the
+            server's fair-share gate; None sends no header and lands in
+            the ``default`` tenant).
         max_retries: Extra attempts for idempotent GETs after a
             transient connection failure.
         backoff_base: First GET-retry delay (doubles per attempt).
@@ -157,10 +165,10 @@ class ServiceClient:
     def events(self, job_id: str, timeout: float | None = None):
         """Yield the ``/jobs/<id>/events`` SSE stream as dicts.
 
-        Cluster servers only.  The stream (and this generator) ends
-        after the job's terminal event.  Uses its own connection: the
-        stream holds it until the job finishes, which would starve the
-        client's persistent connection.
+        The stream (and this generator) ends after the job's terminal
+        event.  Uses its own connection: the stream holds it until the
+        job finishes, which would starve the client's persistent
+        connection.
         """
         conn = http.client.HTTPConnection(
             self._host, self._port, timeout=timeout or self.timeout

@@ -578,6 +578,17 @@ class Scheduler:
 
     def _handle_event(self, slot_index: int, event: tuple) -> None:
         kind, jid = event[0], event[1]
+        # Store first: once the record turns terminal, another terminal
+        # transition may evict it from the retention table, and status
+        # and result queries then go to the store.  Payloads are
+        # content-addressed, so storing one for a stale event is
+        # harmless.
+        if kind == "done" and self.store is not None:
+            try:
+                self.store.put(jid, event[2])
+            except OSError:
+                with self._lock:
+                    self.metrics.store_errors += 1
         with self._lock:
             record = self._jobs.get(jid)
             slot = self._slots[slot_index]
@@ -600,12 +611,6 @@ class Scheduler:
                         totals[key] = totals.get(key, 0) + value
             else:
                 self._register_failure(record, str(event[2]))
-        if kind == "done" and self.store is not None:
-            try:
-                self.store.put(jid, event[2])
-            except OSError:
-                with self._lock:
-                    self.metrics.store_errors += 1
 
     def _register_failure(self, record: JobRecord, message: str) -> None:
         """Retry with backoff, or give up.  Caller holds the lock.

@@ -94,8 +94,8 @@ class ResultStore(ResultStoreBase):
             "checksum": _payload_checksum(payload),
             "payload": payload,
         }
-        # Unique per-writer temp name (pid + thread id, for the HTTP
-        # server's request threads); os.replace makes the publish
+        # Unique per-writer temp name (pid + thread id: the collector
+        # threads of every shard write here); os.replace makes the publish
         # atomic even with concurrent writers of the same id.
         tmp = target.parent / (
             f".{job_id}.{os.getpid()}.{threading.get_ident()}.tmp"

@@ -109,6 +109,20 @@ class TestCallResolution:
         (call,) = graph.functions["pkg.e.drive"].calls
         assert set(call.targets) == {"pkg.e.Policy.pick", "pkg.e.Lru.pick"}
 
+    def test_empty_tuple_annotation_is_untyped(self, tmp_path):
+        pkg = write_pkg(
+            tmp_path,
+            {
+                "f.py": (
+                    "class Box:\n"
+                    "    def __init__(self, items: tuple[()]) -> None:\n"
+                    "        self.items = items\n"
+                ),
+            },
+        )
+        graph = Program.from_paths([pkg]).graph
+        assert "pkg.f.Box.__init__" in graph.functions
+
     def test_graph_json_round_trips(self, tmp_path):
         pkg = write_pkg(tmp_path, {"a.py": "def f():\n    return 1\n"})
         data = Program.from_paths([pkg]).graph.to_dict()

@@ -15,12 +15,13 @@ import pytest
 
 from repro.cluster.admission import AdmissionController
 from repro.cluster.events import EventBus
-from repro.cluster.http import ClusterServer, make_cluster_server
+from repro.cluster.http import ClusterServer
 from repro.cluster.shards import ClusterScheduler
 from repro.cluster.store_tier import TieredResultStore
 from repro.errors import ConfigError, OverloadedError, ServiceError
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec, job_id
+from repro.service.store import ResultStore
 from tests.cluster.test_shards import slow_worker
 from tests.service.test_scheduler import echo_worker
 
@@ -33,8 +34,9 @@ def _spec(n: int) -> JobSpec:
 
 @pytest.fixture
 def service(tmp_path):
-    """A live 2-shard cluster server; yields (client, cluster)."""
-    store = TieredResultStore()
+    """A live 2-shard cluster server over a disk store at
+    ``tmp_path / "store"``; yields (client, cluster)."""
+    store = TieredResultStore(ResultStore(tmp_path / "store"))
     cluster = ClusterScheduler(
         shards=2,
         store=store,
@@ -60,6 +62,8 @@ class TestEndpoints:
         health = client.healthz()
         assert health["status"] == "ok"
         assert set(health["shards"]) == {"shard-0", "shard-1"}
+        for shard in health["shards"].values():
+            assert shard["workers_alive"] == shard["workers_total"] == 1
 
     def test_submit_and_result_round_trip(self, service):
         client, _ = service
@@ -81,21 +85,81 @@ class TestEndpoints:
         assert "nursery_insertions" in metrics["store"]
         assert metrics["cluster"]["jobs_completed"] >= 1
 
+    def test_metrics_shape(self, service):
+        client, _ = service
+        client.submit_and_wait(SPEC, timeout=30)
+        metrics = client.metrics()
+        assert metrics["cluster"]["jobs_completed"] == 1
+        for shard in metrics["shards"].values():
+            assert shard["workers_total"] == 1
+            assert set(shard) >= {
+                "queue_depth",
+                "cache_hit_rate",
+                "worker_utilization",
+                "jobs_failed",
+            }
+
+    def test_cached_resubmission_after_restart(self, service, tmp_path):
+        client, _ = service
+        client.submit_and_wait(SPEC, timeout=30)
+        # A new cluster over the same disk store, as after a restart:
+        # its hot tier is empty, so the hit comes from disk.
+        cluster = ClusterScheduler(
+            shards=2,
+            store=TieredResultStore(ResultStore(tmp_path / "store")),
+            bus=EventBus(),
+            worker_target=echo_worker,
+        )
+        cluster.start()
+        server = ClusterServer(cluster, port=0)
+        host, port = server.start()
+        try:
+            with ServiceClient(f"http://{host}:{port}") as restarted:
+                status = restarted.submit(SPEC)
+                assert status["state"] == "done"
+                assert status["cached"] is True
+                metrics = restarted.metrics()["cluster"]
+                assert metrics["cache_hits"] == 1
+                assert metrics["jobs_completed"] == 0
+        finally:
+            server.stop()
+            cluster.shutdown()
+
     def test_invalid_spec_is_400(self, service):
         client, _ = service
         with pytest.raises(ConfigError, match="HTTP 400"):
             client.submit({"kind": "experiment"})
 
+    def test_unknown_field_is_400(self, service):
+        client, _ = service
+        with pytest.raises(ConfigError, match="HTTP 400"):
+            client.submit({**SPEC.to_dict(), "bogus": 1})
+
+    def test_bad_json_body_is_400(self, service):
+        client, _ = service
+        request = urllib.request.Request(
+            client.base_url + "/jobs",
+            data=b"{not json",
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        assert "error" in json.loads(excinfo.value.read().decode())
+
     def test_unknown_job_is_404(self, service):
         client, _ = service
         with pytest.raises(ServiceError, match="HTTP 404"):
             client.status("j" + "0" * 31)
+        with pytest.raises(ServiceError, match="HTTP 404"):
+            client.result("j" + "0" * 31)
 
     def test_unfinished_result_is_409(self, tmp_path):
         cluster = ClusterScheduler(shards=1, worker_target=slow_worker)
         cluster.start()
-        server = make_cluster_server(cluster, port=0)
-        host, port = server.address
+        server = ClusterServer(cluster, port=0)
+        host, port = server.start()
         try:
             with ServiceClient(f"http://{host}:{port}") as client:
                 status = client.submit(SPEC)
@@ -135,8 +199,8 @@ class TestOverload:
             worker_target=blocked_worker,
         )
         cluster.start()
-        server = make_cluster_server(cluster, port=0)
-        host, port = server.address
+        server = ClusterServer(cluster, port=0)
+        host, port = server.start()
         try:
             with ServiceClient(f"http://{host}:{port}", tenant="t") as client:
                 sheds = []
@@ -207,8 +271,8 @@ class TestEventStream:
             worker_target=echo_worker,
         )
         cluster.start()
-        server = make_cluster_server(cluster, port=0)
-        host, port = server.address
+        server = ClusterServer(cluster, port=0)
+        host, port = server.start()
         try:
             with ServiceClient(f"http://{host}:{port}") as client:
                 evicted = client.submit_and_wait(SPEC, timeout=30)[0]
@@ -228,8 +292,8 @@ class TestEventStream:
             shards=1, bus=EventBus(), worker_target=slow_worker
         )
         cluster.start()
-        server = make_cluster_server(cluster, port=0)
-        host, port = server.address
+        server = ClusterServer(cluster, port=0)
+        host, port = server.start()
         try:
             with ServiceClient(f"http://{host}:{port}") as client:
                 status = client.submit(SPEC)

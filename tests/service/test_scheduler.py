@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import os
+import threading
 import time
 
 import pytest
@@ -23,7 +24,7 @@ from repro.service.scheduler import (
     Scheduler,
     run_jobs,
 )
-from repro.service.store import ResultStore
+from repro.service.store import ResultStore, ResultStoreBase
 from repro.tracelog.binary import dumps_binary
 
 #: A cheap, always-valid spec for pool-mechanics tests.
@@ -319,6 +320,31 @@ class TestCompletedRetention:
             with pytest.raises(JobNotFoundError):
                 scheduler.status(job_id(_spec(2)))
 
+    def test_completion_is_stored_before_it_can_be_evicted(self):
+        """A record only turns terminal once its payload is in the
+        store, so a second terminal transition that evicts it cannot
+        leave status queries with neither a record nor a payload."""
+        first, second = _spec(0), _spec(1)
+        store = _GatedStore(gated=job_id(first))
+        store.blobs[job_id(second)] = {"echo": "figure-1"}
+        with Scheduler(
+            workers=1,
+            store=store,
+            worker_target=echo_worker,
+            completed_retention=1,
+        ) as scheduler:
+            scheduler.submit(first)
+            try:
+                assert store.entered.wait(timeout=30)
+                # A store hit is a terminal transition: with retention 1
+                # it evicts every older terminal record.
+                assert scheduler.submit(second).state == DONE
+                assert scheduler.status_dict(job_id(first))["state"] == RUNNING
+            finally:
+                store.release.set()
+            assert scheduler.wait([job_id(first)], timeout=30)
+            assert scheduler.result(job_id(first))["echo"] == "figure-1"
+
     def test_evicted_failed_job_stays_unknown(self, tmp_path):
         with Scheduler(
             workers=1,
@@ -339,6 +365,28 @@ class TestCompletedRetention:
             assert scheduler.drain(timeout=30)
             for record in records:
                 assert scheduler.status(record.job_id).state == DONE
+
+
+class _GatedStore(ResultStoreBase):
+    """In-memory store whose ``put`` of one id blocks until released."""
+
+    def __init__(self, gated: str) -> None:
+        self.blobs: dict[str, dict] = {}
+        self.gated = gated
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def get(self, job_id: str) -> dict | None:
+        return self.blobs.get(job_id)
+
+    def put(self, job_id: str, payload: dict) -> None:
+        if job_id == self.gated:
+            self.entered.set()
+            self.release.wait(timeout=30)
+        self.blobs[job_id] = payload
+
+    def discard(self, job_id: str) -> None:
+        self.blobs.pop(job_id, None)
 
 
 def _still_known(scheduler: Scheduler, jid: str) -> bool:
